@@ -6,9 +6,16 @@
 
 namespace zebra {
 
-namespace {
+namespace log_internal {
 
 std::atomic<int> g_min_level{static_cast<int>(LogLevel::kOff)};
+
+}  // namespace log_internal
+
+namespace {
+
+using log_internal::g_min_level;
+
 std::mutex g_emit_mutex;
 
 const char* LevelTag(LogLevel level) {

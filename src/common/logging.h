@@ -5,6 +5,7 @@
 #ifndef SRC_COMMON_LOGGING_H_
 #define SRC_COMMON_LOGGING_H_
 
+#include <atomic>
 #include <sstream>
 #include <string>
 
@@ -27,6 +28,20 @@ void LogLine(LogLevel level, const std::string& message);
 
 namespace log_internal {
 
+extern std::atomic<int> g_min_level;
+
+}  // namespace log_internal
+
+// True when a line at `level` would be emitted. The ZLOG_* macros check this
+// before evaluating or formatting any operand, so a disabled log statement
+// costs one relaxed load — operands must therefore be free of side effects.
+inline bool LogEnabled(LogLevel level) {
+  return static_cast<int>(level) >=
+         log_internal::g_min_level.load(std::memory_order_relaxed);
+}
+
+namespace log_internal {
+
 class LineBuilder {
  public:
   explicit LineBuilder(LogLevel level) : level_(level) {}
@@ -43,13 +58,26 @@ class LineBuilder {
   std::ostringstream stream_;
 };
 
+// Turns the `LineBuilder << ...` chain into a void expression, so the macro
+// below can sit in the false arm of a conditional (`<<` binds tighter than
+// `&`, which binds tighter than `?:`).
+struct Voidify {
+  void operator&(const LineBuilder&) {}
+};
+
 }  // namespace log_internal
 
 }  // namespace zebra
 
-#define ZLOG_DEBUG ::zebra::log_internal::LineBuilder(::zebra::LogLevel::kDebug)
-#define ZLOG_INFO ::zebra::log_internal::LineBuilder(::zebra::LogLevel::kInfo)
-#define ZLOG_WARN ::zebra::log_internal::LineBuilder(::zebra::LogLevel::kWarning)
-#define ZLOG_ERROR ::zebra::log_internal::LineBuilder(::zebra::LogLevel::kError)
+#define ZLOG_AT(level)                                  \
+  !::zebra::LogEnabled(level)                           \
+      ? (void)0                                         \
+      : ::zebra::log_internal::Voidify() &              \
+            ::zebra::log_internal::LineBuilder(level)
+
+#define ZLOG_DEBUG ZLOG_AT(::zebra::LogLevel::kDebug)
+#define ZLOG_INFO ZLOG_AT(::zebra::LogLevel::kInfo)
+#define ZLOG_WARN ZLOG_AT(::zebra::LogLevel::kWarning)
+#define ZLOG_ERROR ZLOG_AT(::zebra::LogLevel::kError)
 
 #endif  // SRC_COMMON_LOGGING_H_

@@ -1,7 +1,10 @@
 #include "src/conf/annotations.h"
 
+#include <functional>
 #include <mutex>
 #include <set>
+#include <unordered_set>
+#include <utility>
 
 namespace zebra {
 
@@ -20,8 +23,18 @@ Registry& GetRegistry() {
 
 }  // namespace
 
-bool RegisterAnnotationSiteOnce(const std::string& app, AnnotationKind kind,
+bool RegisterAnnotationSiteOnce(const char* app, AnnotationKind kind,
                                 const char* file, int line) {
+  struct SiteHash {
+    size_t operator()(const std::pair<const char*, int>& site) const {
+      return std::hash<const char*>()(site.first) ^
+             (static_cast<size_t>(site.second) * 0x9e3779b97f4a7c15ull);
+    }
+  };
+  thread_local std::unordered_set<std::pair<const char*, int>, SiteHash> visited;
+  if (!visited.insert({file, line}).second) {
+    return true;
+  }
   Registry& registry = GetRegistry();
   std::lock_guard<std::mutex> lock(registry.mutex);
   auto key = std::make_pair(std::string(file), line);

@@ -29,8 +29,12 @@ struct AnnotationSite {
 };
 
 // Registers a site once (idempotent per file:line). Returns true so it can be
-// used to initialize a function-local static.
-bool RegisterAnnotationSiteOnce(const std::string& app, AnnotationKind kind,
+// used to initialize a function-local static. NodeInitScope and
+// AnnotatedRefToClone call it on every node start, so a thread-local memo
+// keyed by the `file` pointer and line skips the registry mutex after a
+// thread's first visit. `file` must have static storage (a __FILE__ literal):
+// its address is the key.
+bool RegisterAnnotationSiteOnce(const char* app, AnnotationKind kind,
                                 const char* file, int line);
 
 // All sites registered so far (only sites whose code actually executed).

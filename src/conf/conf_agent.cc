@@ -301,16 +301,15 @@ std::string ConfAgent::InterceptGet(uint64_t conf_id, std::string_view name,
 
   // Only node-owned and unit-test-owned confs receive plan values.
   int index = (*entity == kClientEntity) ? 0 : node_index;
-  std::optional<std::string> assigned =
-      session_->plan->Lookup(interned_str, *entity, index);
-  session_->report.trace_elements.insert(TraceReadElement(
-      *entity, index, interned_str, assigned.has_value() ? &*assigned : nullptr));
-  memo.has_override = assigned.has_value();
-  if (assigned.has_value()) {
+  const std::string* assigned = session_->plan->Lookup(interned, *entity, index);
+  session_->report.trace_elements.insert(
+      TraceReadElement(*entity, index, interned, assigned));
+  memo.has_override = assigned != nullptr;
+  if (assigned != nullptr) {
     memo.override_value = *assigned;
   }
   session_->get_memo.emplace(ReadKey{conf_id, interned}, std::move(memo));
-  if (assigned.has_value()) {
+  if (assigned != nullptr) {
     ++session_->report.override_hits;
     return *assigned;
   }
@@ -341,10 +340,9 @@ void ConfAgent::InterceptHas(uint64_t conf_id, std::string_view name) {
     return;
   }
   int index = (*entity == kClientEntity) ? 0 : node_index;
-  std::optional<std::string> assigned =
-      session_->plan->Lookup(interned_str, *entity, index);
-  session_->report.trace_elements.insert(TraceHasElement(
-      *entity, index, interned_str, assigned.has_value() ? &*assigned : nullptr));
+  const std::string* assigned = session_->plan->Lookup(interned, *entity, index);
+  session_->report.trace_elements.insert(
+      TraceHasElement(*entity, index, interned, assigned));
 }
 
 void ConfAgent::InterceptSet(uint64_t conf_id, const std::string& name,

@@ -1,6 +1,7 @@
 #include "src/conf/plan_equiv.h"
 
 #include <algorithm>
+#include <charconv>
 
 #include "src/conf/conf_agent.h"
 
@@ -12,38 +13,58 @@ namespace {
 // entity names, parameter names, or schema values, so joining is injective.
 constexpr char kTraceJoin = '\x1e';
 
-std::string FormatObservation(const char* prefix, const std::string& entity,
+constexpr std::string_view kHasPrefix = "@h:";
+constexpr std::string_view kUncertainPrefix = "@u:";
+
+// Every element renderer goes through these two appenders, so the recorder
+// (ConfAgent), the predictor and the restriction check cannot drift. The head
+// is "<prefix>E#i:p"; the tail is "=v" for a plan-served value, "!" otherwise.
+void AppendObservationHead(std::string* out, std::string_view prefix,
+                           std::string_view entity, int node_index,
+                           std::string_view param) {
+  char index[16];
+  auto [end, ec] = std::to_chars(index, index + sizeof(index), node_index);
+  (void)ec;  // an int always fits
+  out->append(prefix);
+  out->append(entity);
+  *out += '#';
+  out->append(index, end);
+  *out += ':';
+  out->append(param);
+}
+
+void AppendObservationTail(std::string* out, const std::string* assigned) {
+  if (assigned != nullptr) {
+    *out += '=';
+    *out += *assigned;
+  } else {
+    *out += '!';
+  }
+}
+
+std::string FormatObservation(std::string_view prefix, std::string_view entity,
                               int node_index, std::string_view param,
                               const std::string* assigned) {
-  std::string element = prefix;
-  element += entity;
-  element += '#';
-  element += std::to_string(node_index);
-  element += ':';
-  element += param;
-  if (assigned != nullptr) {
-    element += '=';
-    element += *assigned;
-  } else {
-    element += '!';
-  }
+  std::string element;
+  AppendObservationHead(&element, prefix, entity, node_index, param);
+  AppendObservationTail(&element, assigned);
   return element;
 }
 
 }  // namespace
 
-std::string TraceReadElement(const std::string& entity, int node_index,
+std::string TraceReadElement(std::string_view entity, int node_index,
                              std::string_view param, const std::string* assigned) {
   return FormatObservation("", entity, node_index, param, assigned);
 }
 
-std::string TraceHasElement(const std::string& entity, int node_index,
+std::string TraceHasElement(std::string_view entity, int node_index,
                             std::string_view param, const std::string* assigned) {
-  return FormatObservation("@h:", entity, node_index, param, assigned);
+  return FormatObservation(kHasPrefix, entity, node_index, param, assigned);
 }
 
 std::string TraceUncertainElement(std::string_view param) {
-  std::string element = "@u:";
+  std::string element(kUncertainPrefix);
   element += param;
   return element;
 }
@@ -63,14 +84,14 @@ struct ParsedElement {
 };
 
 bool ParseTraceElement(std::string_view element, ParsedElement* parsed) {
-  if (element.rfind("@u:", 0) == 0) {
+  if (element.rfind(kUncertainPrefix, 0) == 0) {
     parsed->kind = ParsedElement::Kind::kUncertain;
-    parsed->param = element.substr(3);
+    parsed->param = element.substr(kUncertainPrefix.size());
     return true;
   }
-  if (element.rfind("@h:", 0) == 0) {
+  if (element.rfind(kHasPrefix, 0) == 0) {
     parsed->kind = ParsedElement::Kind::kHas;
-    element.remove_prefix(3);
+    element.remove_prefix(kHasPrefix.size());
   } else {
     parsed->kind = ParsedElement::Kind::kRead;
   }
@@ -108,15 +129,13 @@ bool PlanMatchesElement(const TestPlan& plan, std::string_view element) {
   if (parsed.kind == ParsedElement::Kind::kUncertain) {
     return true;  // uncertain confs never receive overrides: plan-invariant
   }
-  const std::string entity(parsed.entity);
-  std::optional<std::string> assigned =
-      plan.Lookup(parsed.param, entity, parsed.node_index);
-  std::string expected =
-      parsed.kind == ParsedElement::Kind::kHas
-          ? TraceHasElement(entity, parsed.node_index, parsed.param,
-                            assigned.has_value() ? &*assigned : nullptr)
-          : TraceReadElement(entity, parsed.node_index, parsed.param,
-                             assigned.has_value() ? &*assigned : nullptr);
+  std::string expected;
+  expected.reserve(element.size());
+  AppendObservationHead(
+      &expected, parsed.kind == ParsedElement::Kind::kHas ? kHasPrefix : "",
+      parsed.entity, parsed.node_index, parsed.param);
+  AppendObservationTail(
+      &expected, plan.Lookup(parsed.param, parsed.entity, parsed.node_index));
   return expected == element;
 }
 
@@ -170,7 +189,12 @@ bool PlanReproducesObservedTrace(const TestPlan& plan,
 }
 
 std::string ObservedTraceText(const SessionReport& report) {
+  size_t size = 0;
+  for (const std::string& element : report.trace_elements) {
+    size += element.size() + 1;
+  }
   std::string text;
+  text.reserve(size);
   for (const std::string& element : report.trace_elements) {
     if (!text.empty()) {
       text += kTraceJoin;
@@ -197,16 +221,22 @@ ReadSurface::ReadSurface(const SessionReport& prerun) {
     switch (parsed.kind) {
       case ParsedElement::Kind::kUncertain:
         obs.kind = Observation::Kind::kUncertain;
+        obs.head = TraceUncertainElement(obs.param);
         break;
       case ParsedElement::Kind::kHas:
         obs.kind = Observation::Kind::kHas;
+        AppendObservationHead(&obs.head, kHasPrefix, obs.entity, obs.node_index,
+                              obs.param);
         presence_params_.insert(obs.param);
         break;
       case ParsedElement::Kind::kRead:
         obs.kind = Observation::Kind::kRead;
+        AppendObservationHead(&obs.head, "", obs.entity, obs.node_index,
+                              obs.param);
         break;
     }
     observed_params_.insert(obs.param);
+    head_bytes_ += obs.head.size();
     observations_.push_back(std::move(obs));
   }
   usable_ = !observations_.empty();
@@ -214,94 +244,110 @@ ReadSurface::ReadSurface(const SessionReport& prerun) {
 
 CanonicalPlan ReadSurface::Canonicalize(const TestPlan& plan) const {
   CanonicalPlan canonical;
-  std::vector<ParamPlan> kept;
+  // Each surviving entry's fingerprint, minus the overrides no targeted conf
+  // reads, is rendered once into one buffer; the canonical fingerprint is
+  // those renderings sorted and joined exactly as TestPlan::Fingerprint()
+  // joins a plan's entries.
+  struct Kept {
+    const std::string* param;
+    size_t begin;
+    size_t size;
+  };
+  std::string rendered;
+  std::vector<Kept> kept;
+  kept.reserve(plan.params().size());
+  auto observed = [this](const std::string& param) { return ParamObserved(param); };
   for (const ParamPlan& entry : plan.params()) {
-    ParamPlan filtered = entry;
-    filtered.extra_overrides.clear();
+    bool keeps_override = false;
     for (const auto& override_pair : entry.extra_overrides) {
       if (ParamObserved(override_pair.first)) {
-        filtered.extra_overrides.push_back(override_pair);
+        keeps_override = true;
       } else {
         ++canonical.dropped_overrides;
       }
     }
     // An entry survives if any targeted conf observes its parameter — or any
     // surviving dependency override still needs a carrier.
-    if (ParamObserved(entry.param) || !filtered.extra_overrides.empty()) {
-      kept.push_back(std::move(filtered));
-    } else {
+    if (!ParamObserved(entry.param) && !keeps_override) {
       ++canonical.dropped_entries;
+      continue;
     }
+    size_t begin = rendered.size();
+    entry.AppendFingerprint(&rendered, observed);
+    kept.push_back(Kept{&entry.param, begin, rendered.size() - begin});
   }
-  // Canonical order: plans differing only in entry order collapse. The sort
-  // compares precomputed fingerprints — ParamPlan::Fingerprint() renders
-  // through an ostringstream, and letting the comparator recompute it turns
-  // every comparison into two allocations (O(n log n) renders per sort).
-  std::vector<std::string> sort_keys;
-  sort_keys.reserve(kept.size());
-  for (const ParamPlan& entry : kept) {
-    sort_keys.push_back(entry.Fingerprint());
-  }
-  std::vector<size_t> order(kept.size());
-  for (size_t i = 0; i < order.size(); ++i) {
-    order[i] = i;
-  }
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (kept[a].param != kept[b].param) {
-      return kept[a].param < kept[b].param;
+  auto view = [&rendered](const Kept& entry) {
+    return std::string_view(rendered).substr(entry.begin, entry.size);
+  };
+  // Canonical order: plans differing only in entry order collapse.
+  std::sort(kept.begin(), kept.end(), [&](const Kept& a, const Kept& b) {
+    if (*a.param != *b.param) {
+      return *a.param < *b.param;
     }
-    return sort_keys[a] < sort_keys[b];
+    return view(a) < view(b);
   });
-  TestPlan canonical_plan;
-  for (size_t index : order) {
-    canonical_plan.Add(std::move(kept[index]));
+  canonical.fingerprint.reserve(rendered.size() + 2 * kept.size());
+  for (size_t i = 0; i < kept.size(); ++i) {
+    if (i > 0) {
+      canonical.fingerprint += ", ";
+    }
+    canonical.fingerprint += view(kept[i]);
   }
-  canonical.fingerprint = canonical_plan.Fingerprint();
   canonical.changed = canonical.fingerprint != plan.Fingerprint();
   return canonical;
 }
 
 bool ReadSurface::PredictTrace(const TestPlan& plan, std::string* trace) const {
-  // Sort + unique reproduces exactly the ordering + dedup the recorder's
-  // SessionReport::trace_elements set applies, without per-element tree nodes
-  // (this runs on every cache miss past the exact keys).
-  std::vector<std::string> elements;
-  elements.reserve(observations_.size());
+  // Every element is rendered into one buffer — the observation's
+  // precomputed head plus this plan's tail — and sorted and deduplicated as
+  // spans, reproducing exactly the order and dedup the recorder's
+  // SessionReport::trace_elements set applies (this runs on every cache miss
+  // past the exact keys).
+  struct Span {
+    size_t begin;
+    size_t size;
+  };
+  std::string rendered;
+  // Heads plus a short tail each; a long served value only costs a regrow.
+  rendered.reserve(head_bytes_ + 8 * observations_.size());
+  std::vector<Span> spans;
+  spans.reserve(observations_.size());
   for (const Observation& obs : observations_) {
+    size_t begin = rendered.size();
+    rendered += obs.head;
     switch (obs.kind) {
       case Observation::Kind::kUncertain:
         // Unmappable confs never receive overrides: plan-invariant marker.
-        elements.push_back(TraceUncertainElement(obs.param));
         break;
-      case Observation::Kind::kRead: {
-        std::optional<std::string> assigned =
-            plan.Lookup(obs.param, obs.entity, obs.node_index);
-        elements.push_back(TraceReadElement(obs.entity, obs.node_index, obs.param,
-                                            assigned ? &*assigned : nullptr));
+      case Observation::Kind::kRead:
+      case Observation::Kind::kHas:
+        // Has() ignores overrides, but its element is poisoned with the
+        // plan's assignment so a plan targeting a presence-checked parameter
+        // never aliases one that assigns it differently (conservative).
+        AppendObservationTail(&rendered,
+                              plan.Lookup(obs.param, obs.entity, obs.node_index));
         break;
-      }
-      case Observation::Kind::kHas: {
-        // Has() ignores overrides, but the trace is poisoned with the plan's
-        // assignment so a plan targeting a presence-checked parameter never
-        // aliases one that assigns it differently (conservative by design).
-        std::optional<std::string> assigned =
-            plan.Lookup(obs.param, obs.entity, obs.node_index);
-        elements.push_back(TraceHasElement(obs.entity, obs.node_index, obs.param,
-                                           assigned ? &*assigned : nullptr));
-        break;
-      }
     }
+    spans.push_back(Span{begin, rendered.size() - begin});
   }
-  std::sort(elements.begin(), elements.end());
-  elements.erase(std::unique(elements.begin(), elements.end()), elements.end());
-  std::string text;
-  for (const std::string& element : elements) {
-    if (!text.empty()) {
-      text += kTraceJoin;
+  auto view = [&rendered](const Span& span) {
+    return std::string_view(rendered).substr(span.begin, span.size);
+  };
+  std::sort(spans.begin(), spans.end(),
+            [&](const Span& a, const Span& b) { return view(a) < view(b); });
+  spans.erase(std::unique(spans.begin(), spans.end(),
+                          [&](const Span& a, const Span& b) {
+                            return view(a) == view(b);
+                          }),
+              spans.end());
+  trace->clear();
+  trace->reserve(rendered.size() + spans.size());
+  for (const Span& span : spans) {
+    if (!trace->empty()) {
+      *trace += kTraceJoin;
     }
-    text += element;
+    *trace += view(span);
   }
-  *trace = std::move(text);
   return true;
 }
 

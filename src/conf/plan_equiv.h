@@ -61,13 +61,13 @@ struct SessionReport;
 
 // An intercepted value read: "E#i:p=v" when the plan served `assigned`,
 // "E#i:p!" when the stored value was served.
-std::string TraceReadElement(const std::string& entity, int node_index,
+std::string TraceReadElement(std::string_view entity, int node_index,
                              std::string_view param, const std::string* assigned);
 
 // A Has() presence check, same shape under the "@h:" prefix. Recorded with
 // the value the active plan assigns so plans that target a presence-checked
 // parameter never alias plans that assign it differently.
-std::string TraceHasElement(const std::string& entity, int node_index,
+std::string TraceHasElement(std::string_view entity, int node_index,
                             std::string_view param, const std::string* assigned);
 
 // A read through an unmappable conf: "@u:p" (never overridden, plan-invariant).
@@ -140,6 +140,9 @@ class ReadSurface {
     std::string entity;
     int node_index = 0;
     std::string param;
+    // The plan-independent part of the element ("@h:E#i:p", "E#i:p", or the
+    // whole "@u:p" marker); PredictTrace appends only the plan's tail.
+    std::string head;
   };
 
   bool ParamObserved(const std::string& param) const {
@@ -147,6 +150,7 @@ class ReadSurface {
   }
 
   std::vector<Observation> observations_;   // in trace-element sort order
+  size_t head_bytes_ = 0;                   // sum of observations_' heads
   std::set<std::string> observed_params_;   // params any observation touches
   std::set<std::string> presence_params_;   // params observed via Has()
   bool usable_ = false;

@@ -1,7 +1,5 @@
 #include "src/conf/test_plan.h"
 
-#include <sstream>
-
 #include "src/common/rng.h"
 
 namespace zebra {
@@ -18,7 +16,8 @@ const char* AssignStrategyName(AssignStrategy strategy) {
   return "unknown";
 }
 
-std::string ValueAssigner::ValueFor(const std::string& node_type, int node_index) const {
+const std::string& ValueAssigner::ValueFor(std::string_view node_type,
+                                           int node_index) const {
   switch (strategy) {
     case AssignStrategy::kHomogeneous:
       return group_value;
@@ -119,43 +118,43 @@ std::vector<ParamPlan>& TestPlan::mutable_params() {
   return params_;
 }
 
-std::optional<std::string> TestPlan::Lookup(std::string_view param,
-                                            const std::string& node_type,
-                                            int node_index) const {
+const std::string* TestPlan::Lookup(std::string_view param,
+                                   std::string_view node_type,
+                                   int node_index) const {
   for (const ParamPlan& plan : params_) {
     if (plan.param == param) {
-      return plan.assigner.ValueFor(node_type, node_index);
+      return &plan.assigner.ValueFor(node_type, node_index);
     }
     for (const auto& [extra_param, extra_value] : plan.extra_overrides) {
       if (extra_param == param) {
-        return extra_value;
+        return &extra_value;
       }
     }
   }
-  return std::nullopt;
+  return nullptr;
+}
+
+void ParamPlan::AppendAssignment(std::string* out) const {
+  *out += param;
+  *out += '{';
+  *out += AssignStrategyName(assigner.strategy);
+  *out += ' ';
+  if (assigner.strategy == AssignStrategy::kHomogeneous) {
+    *out += assigner.group_value;
+  } else {
+    *out += assigner.group_type;
+    *out += '=';
+    *out += assigner.group_value;
+    *out += " others=";
+    *out += assigner.other_value;
+  }
+  *out += '}';
 }
 
 std::string ParamPlan::Fingerprint() const {
-  std::ostringstream out;
-  out << param << "{" << AssignStrategyName(assigner.strategy);
-  if (assigner.strategy == AssignStrategy::kHomogeneous) {
-    out << " " << assigner.group_value;
-  } else {
-    out << " " << assigner.group_type << "=" << assigner.group_value
-        << " others=" << assigner.other_value;
-  }
-  out << "}";
-  if (!extra_overrides.empty()) {
-    out << "[";
-    for (size_t i = 0; i < extra_overrides.size(); ++i) {
-      if (i > 0) {
-        out << ",";
-      }
-      out << extra_overrides[i].first << "=" << extra_overrides[i].second;
-    }
-    out << "]";
-  }
-  return out.str();
+  std::string out;
+  AppendFingerprint(&out, [](const std::string&) { return true; });
+  return out;
 }
 
 const std::string& TestPlan::Fingerprint() const {
@@ -165,7 +164,7 @@ const std::string& TestPlan::Fingerprint() const {
       if (i > 0) {
         text += ", ";
       }
-      text += params_[i].Fingerprint();
+      params_[i].AppendFingerprint(&text, [](const std::string&) { return true; });
     }
     fingerprint_ = std::move(text);
     fingerprint_valid_ = true;
@@ -182,22 +181,14 @@ uint64_t TestPlan::DescribeSeed() const {
 }
 
 std::string TestPlan::Describe() const {
-  std::ostringstream out;
+  std::string out;
   for (size_t i = 0; i < params_.size(); ++i) {
-    const ParamPlan& plan = params_[i];
     if (i > 0) {
-      out << ", ";
+      out += ", ";
     }
-    out << plan.param << "{" << AssignStrategyName(plan.assigner.strategy);
-    if (plan.assigner.strategy == AssignStrategy::kHomogeneous) {
-      out << " " << plan.assigner.group_value;
-    } else {
-      out << " " << plan.assigner.group_type << "=" << plan.assigner.group_value
-          << " others=" << plan.assigner.other_value;
-    }
-    out << "}";
+    params_[i].AppendAssignment(&out);
   }
-  return out.str();
+  return out;
 }
 
 }  // namespace zebra

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -43,7 +42,8 @@ struct ValueAssigner {
   std::string group_value;  // value for the group (or the whole system)
   std::string other_value;  // value for everyone else
 
-  std::string ValueFor(const std::string& node_type, int node_index) const;
+  // A reference into this assigner, valid until it is next modified.
+  const std::string& ValueFor(std::string_view node_type, int node_index) const;
 
   // The distinct values this assigner can hand out; the TestRunner runs one
   // homogeneous control per distinct value (Definition 3.1).
@@ -73,18 +73,44 @@ struct ParamPlan {
   // dependency override — but not static_priority, which is scheduling
   // metadata no execution can observe.
   std::string Fingerprint() const;
+
+  // Appends Fingerprint() to *out, rendering only the extra_overrides whose
+  // parameter `keep_override` accepts (ReadSurface::Canonicalize drops the
+  // ones no targeted conf reads, without copying the entry).
+  template <typename KeepOverride>
+  void AppendFingerprint(std::string* out, const KeepOverride& keep_override) const {
+    AppendAssignment(out);
+    bool open = false;
+    for (const auto& [name, value] : extra_overrides) {
+      if (!keep_override(name)) {
+        continue;
+      }
+      *out += open ? ',' : '[';
+      open = true;
+      *out += name;
+      *out += '=';
+      *out += value;
+    }
+    if (open) {
+      *out += ']';
+    }
+  }
+
+  // Appends "param{strategy values}": the assignment alone, which is all
+  // TestPlan::Describe() renders per entry.
+  void AppendAssignment(std::string* out) const;
 };
 
 // A full plan for one unit-test execution. Multiple entries = pooled testing.
 //
-// Fingerprint() and DescribeSeed() are memoized on the plan: both walk every
-// entry and (for Fingerprint) render it through an ostringstream, and the hot
-// path asks for the same plan's identity several times per run — cache probe,
-// equivalence canonicalization, session seeding. Mutation goes through Add()
-// or mutable_params(), which drop the memo. The memo fields are `mutable` and
-// unsynchronized: a plan is owned by exactly one worker at a time (campaign
-// engines copy plans into per-worker units), so concurrent const access to a
-// shared TestPlan is not part of the contract.
+// Fingerprint() and DescribeSeed() are memoized on the plan: both walk and
+// render every entry, and the hot path asks for the same plan's identity
+// several times per run — cache probe, equivalence canonicalization, session
+// seeding. Mutation goes through Add() or mutable_params(), which drop the
+// memo. The memo fields are `mutable` and unsynchronized: a plan is owned by
+// exactly one worker at a time (campaign engines copy plans into per-worker
+// units), so concurrent const access to a shared TestPlan is not part of the
+// contract.
 class TestPlan {
  public:
   TestPlan() = default;
@@ -101,9 +127,11 @@ class TestPlan {
   void Add(ParamPlan plan);
   std::vector<ParamPlan>& mutable_params();
 
-  // Value the given entity should observe for `param`, if the plan covers it.
-  std::optional<std::string> Lookup(std::string_view param,
-                                    const std::string& node_type, int node_index) const;
+  // Value the given entity should observe for `param`, or nullptr when the
+  // plan does not cover it. Points into this plan: valid until its next
+  // mutation (every caller reads it within one session or prediction).
+  const std::string* Lookup(std::string_view param, std::string_view node_type,
+                            int node_index) const;
 
   bool empty() const { return params_.empty(); }
   std::string Describe() const;

@@ -1,5 +1,6 @@
 #include "src/testkit/run_cache.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -143,6 +144,22 @@ constexpr std::string_view kSepStar = "\x1f*";
 constexpr std::string_view kCanonicalTag = "C\x1f";
 constexpr std::string_view kTraceTag = "T\x1f";
 
+// The digest of test_id + '\x1f' + plan_text, which the exact and wildcard
+// keys both extend: a lookup or insert folds the (long) plan text once.
+Digest128 PlanKeyPrefix(const std::string& test_id, const std::string& plan_text) {
+  Digest128 digest = HashFnv128(test_id);
+  digest = HashFnv128(kSep, digest);
+  return HashFnv128(plan_text, digest);
+}
+
+Digest128 ExactKeyFromPrefix(Digest128 prefix, uint64_t trial) {
+  return HashFnv128Decimal(trial, HashFnv128(kSep, prefix));
+}
+
+Digest128 WildcardKeyFromPrefix(Digest128 prefix) {
+  return HashFnv128(kSepStar, prefix);
+}
+
 }  // namespace
 
 void SetGlobalRunCache(RunCache* cache) { g_run_cache = cache; }
@@ -179,19 +196,12 @@ std::string RunCache::TraceKey(const std::string& test_id, const std::string& tr
 // equivalence LoadFromFile's gate verifies on every persisted key.
 Digest128 RunCache::ExactRunKey(const std::string& test_id,
                                 const std::string& plan_text, uint64_t trial) {
-  Digest128 digest = HashFnv128(test_id);
-  digest = HashFnv128(kSep, digest);
-  digest = HashFnv128(plan_text, digest);
-  digest = HashFnv128(kSep, digest);
-  return HashFnv128Decimal(trial, digest);
+  return ExactKeyFromPrefix(PlanKeyPrefix(test_id, plan_text), trial);
 }
 
 Digest128 RunCache::WildcardRunKey(const std::string& test_id,
                                    const std::string& plan_text) {
-  Digest128 digest = HashFnv128(test_id);
-  digest = HashFnv128(kSep, digest);
-  digest = HashFnv128(plan_text, digest);
-  return HashFnv128(kSepStar, digest);
+  return WildcardKeyFromPrefix(PlanKeyPrefix(test_id, plan_text));
 }
 
 Digest128 RunCache::CanonicalRunKey(const std::string& test_id,
@@ -212,12 +222,11 @@ Digest128 RunCache::TraceRunKey(const std::string& test_id,
   return HashFnv128(kSepStar, digest);
 }
 
-int64_t RunCache::EntryBytes(const std::string& legacy_key, const Entry& entry) {
-  const TestResult& result = *entry.result;
+int64_t RunCache::PayloadBytes(const TestResult& result,
+                               const std::string& observed_trace) {
   const SessionReport& report = result.report;
-  int64_t bytes = static_cast<int64_t>(sizeof(Node) + legacy_key.size() +
-                                       entry.observed_trace.size() +
-                                       result.failure.size());
+  int64_t bytes =
+      static_cast<int64_t>(observed_trace.size() + result.failure.size());
   for (const auto& [type, count] : report.node_counts) {
     bytes += static_cast<int64_t>(type.size()) + 8;
   }
@@ -245,8 +254,7 @@ RunCache::Node* RunCache::Touch(Digest128 key) {
   return &lru_.front();
 }
 
-template <typename MakeLegacy>
-bool RunCache::InsertEntry(Digest128 key, MakeLegacy&& make_legacy,
+bool RunCache::InsertEntry(Digest128 key, std::string legacy_key,
                            const std::shared_ptr<const Entry>& entry) {
   auto it = index_.find(key);
   if (it != index_.end()) {
@@ -254,21 +262,16 @@ bool RunCache::InsertEntry(Digest128 key, MakeLegacy&& make_legacy,
     // differ, which means two distinct runs digested to the same 128 bits.
     // Drop the stored entry too: neither logical key may be served through
     // an ambiguous digest (a re-execution is cheap, a wrong serve is not).
-    if (it->second->legacy_key != make_legacy()) {
+    if (it->second->legacy_key != legacy_key) {
       ++stats_.key_collisions;
-      stats_.bytes -= EntryBytes(it->second->legacy_key, *it->second->entry);
+      stats_.bytes -= NodeBytes(it->second->legacy_key, *it->second->entry);
       lru_.erase(it->second);
       index_.erase(it);
       --stats_.entries;
     }
     return false;
   }
-  return InsertEntryWithLegacy(key, make_legacy(), entry);
-}
-
-bool RunCache::InsertEntryWithLegacy(Digest128 key, std::string legacy_key,
-                                     const std::shared_ptr<const Entry>& entry) {
-  stats_.bytes += EntryBytes(legacy_key, *entry);
+  stats_.bytes += NodeBytes(legacy_key, *entry);
   lru_.push_front(Node{key, std::move(legacy_key), entry});
   index_[key] = lru_.begin();
   ++stats_.entries;
@@ -276,35 +279,22 @@ bool RunCache::InsertEntryWithLegacy(Digest128 key, std::string legacy_key,
   return true;
 }
 
-const RunCache::Entry* RunCache::MatchByRestriction(
-    const std::string& test_id, const TestPlan& plan,
-    const std::string& predicted_trace) {
-  // Newest-first, bounded: the runs restriction matching exists to collapse
-  // (bisection re-probes, early-stopped failing paths) are re-queried shortly
-  // after they were stored, so scanning the most recent candidates catches
-  // them while keeping per-miss cost independent of corpus size. A candidate
-  // beyond the cap only costs a re-execution, never a wrong serve.
-  constexpr int kMaxCandidates = 64;
+void RunCache::SnapshotRestrictionCandidates(const std::string& test_id,
+                                             std::vector<Candidate>* out) const {
   auto keys_it = trace_keys_by_test_.find(test_id);
   if (keys_it == trace_keys_by_test_.end()) {
-    return nullptr;
+    return;
   }
   const std::vector<Digest128>& keys = keys_it->second;
-  int scanned = 0;
-  for (auto key = keys.rbegin(); key != keys.rend() && scanned < kMaxCandidates;
-       ++key) {
+  out->reserve(std::min(keys.size(), kMaxRestrictionCandidates));
+  for (auto key = keys.rbegin();
+       key != keys.rend() && out->size() < kMaxRestrictionCandidates; ++key) {
     auto it = index_.find(*key);
     if (it == index_.end()) {
       continue;  // evicted since registration
     }
-    ++scanned;
-    const Entry& entry = *it->second->entry;
-    if (PlanReproducesObservedTrace(plan, entry.observed_trace, predicted_trace)) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return lru_.front().entry.get();
-    }
+    out->push_back(Candidate{*key, it->second->entry});
   }
-  return nullptr;
 }
 
 void RunCache::EnforceLimits() {
@@ -312,7 +302,7 @@ void RunCache::EnforceLimits() {
          ((limits_.max_entries > 0 && stats_.entries > limits_.max_entries) ||
           (limits_.max_bytes > 0 && stats_.bytes > limits_.max_bytes))) {
     const Node& node = lru_.back();
-    stats_.bytes -= EntryBytes(node.legacy_key, *node.entry);
+    stats_.bytes -= NodeBytes(node.legacy_key, *node.entry);
     index_.erase(node.key);
     lru_.pop_back();
     --stats_.entries;
@@ -323,15 +313,15 @@ void RunCache::EnforceLimits() {
 const TestResult* RunCache::Lookup(const std::string& test_id,
                                    const std::string& plan_text, uint64_t trial,
                                    EquivQuery* equiv) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const Entry* entry = LookupLocked(test_id, plan_text, trial, equiv);
+  // The serving node still holds the payload: callers of this overload
+  // serialize all access, so nothing can evict it before they read it.
+  std::shared_ptr<const Entry> entry = LookupEntry(test_id, plan_text, trial, equiv);
   return entry == nullptr ? nullptr : entry->result.get();
 }
 
 bool RunCache::Lookup(const std::string& test_id, const std::string& plan_text,
                       uint64_t trial, EquivQuery* equiv, TestResult* out) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const Entry* entry = LookupLocked(test_id, plan_text, trial, equiv);
+  std::shared_ptr<const Entry> entry = LookupEntry(test_id, plan_text, trial, equiv);
   if (entry == nullptr) {
     return false;
   }
@@ -342,71 +332,106 @@ bool RunCache::Lookup(const std::string& test_id, const std::string& plan_text,
 std::shared_ptr<const TestResult> RunCache::LookupShared(
     const std::string& test_id, const std::string& plan_text, uint64_t trial,
     EquivQuery* equiv) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const Entry* entry = LookupLocked(test_id, plan_text, trial, equiv);
-  // Refcount bump under the lock; the payload is immutable and outlives any
-  // eviction, so the caller's pointer is safe without a copy.
+  std::shared_ptr<const Entry> entry = LookupEntry(test_id, plan_text, trial, equiv);
+  // The payload is immutable and outlives any eviction, so the caller's
+  // pointer is safe without a copy.
   return entry == nullptr ? nullptr : entry->result;
 }
 
-const RunCache::Entry* RunCache::LookupLocked(const std::string& test_id,
-                                              const std::string& plan_text,
-                                              uint64_t trial, EquivQuery* equiv) {
-  if (Node* node = Touch(WildcardRunKey(test_id, plan_text))) {
-    ++stats_.hits;
-    return node->entry.get();
+std::shared_ptr<const RunCache::Entry> RunCache::LookupEntry(
+    const std::string& test_id, const std::string& plan_text, uint64_t trial,
+    EquivQuery* equiv) {
+  const Digest128 prefix = PlanKeyPrefix(test_id, plan_text);
+  const Digest128 wildcard_key = WildcardKeyFromPrefix(prefix);
+  const Digest128 exact_key = ExactKeyFromPrefix(prefix, trial);
+  const bool use_equiv =
+      equiv != nullptr && equiv->surface != nullptr && equiv->plan != nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (Node* node = Touch(wildcard_key)) {
+      ++stats_.hits;
+      return node->entry;
+    }
+    if (Node* node = Touch(exact_key)) {
+      ++stats_.hits;
+      return node->entry;
+    }
+    if (!use_equiv) {
+      ++stats_.misses;
+      return nullptr;
+    }
   }
-  if (Node* node = Touch(ExactRunKey(test_id, plan_text, trial))) {
-    ++stats_.hits;
-    return node->entry.get();
+
+  // Derive the equivalence keys only now, past the exact fast path (exact
+  // hits pay nothing for the layer), and outside the lock.
+  bool canonicalized_now = false;
+  if (!equiv->computed) {
+    CanonicalPlan canonical = equiv->surface->Canonicalize(*equiv->plan);
+    equiv->canonical_fingerprint = std::move(canonical.fingerprint);
+    equiv->plan_canonicalized = canonical.changed;
+    equiv->has_trace =
+        equiv->surface->PredictTrace(*equiv->plan, &equiv->predicted_trace);
+    equiv->computed = true;
+    canonicalized_now = equiv->plan_canonicalized;
   }
-  if (equiv != nullptr && equiv->surface != nullptr && equiv->plan != nullptr) {
-    // Derive the equivalence keys only now, past the exact fast path, so
-    // exact hits pay nothing for the layer.
-    if (!equiv->computed) {
-      CanonicalPlan canonical = equiv->surface->Canonicalize(*equiv->plan);
-      equiv->canonical_fingerprint = std::move(canonical.fingerprint);
-      equiv->plan_canonicalized = canonical.changed;
-      equiv->has_trace =
-          equiv->surface->PredictTrace(*equiv->plan, &equiv->predicted_trace);
-      equiv->computed = true;
-      if (equiv->plan_canonicalized) {
-        ++stats_.canonicalized_plans;
-      }
+  const Digest128 canonical_key =
+      CanonicalRunKey(test_id, equiv->canonical_fingerprint);
+  const Digest128 trace_key = equiv->has_trace
+                                  ? TraceRunKey(test_id, equiv->predicted_trace)
+                                  : Digest128{};
+  // Filled under the lock, matched after it.
+  std::vector<Candidate> candidates;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (canonicalized_now) {
+      ++stats_.canonicalized_plans;
     }
     // Canonical-fingerprint index: same canonical form implies the same
     // served value at every promised read. Serving is still gated on the
     // stored execution's observed trace matching this plan's prediction —
     // if the pre-run promise was broken (a value-gated read appeared), the
     // traces differ and the serve is refused.
-    if (Node* node =
-            Touch(CanonicalRunKey(test_id, equiv->canonical_fingerprint))) {
+    if (Node* node = Touch(canonical_key)) {
       if (equiv->has_trace &&
           node->entry->observed_trace == equiv->predicted_trace) {
         ++stats_.equiv_hits;
-        return node->entry.get();
+        return node->entry;
       }
       ++stats_.mispredictions;
     }
-    if (equiv->has_trace) {
-      // Trace index fast path: the key *is* the stored execution's observed
-      // trace, so a hit is self-validating — predicted == observed by key
-      // equality.
-      if (Node* node = Touch(TraceRunKey(test_id, equiv->predicted_trace))) {
-        ++stats_.equiv_hits;
-        return node->entry.get();
-      }
-      // Restriction matching: the full-trace key misses whenever the stored
-      // execution stopped early (its observed trace is a strict prefix of
-      // any full prediction), so scan this test's stored traces for one this
-      // plan reproduces element for element.
-      if (const Entry* entry = MatchByRestriction(test_id, *equiv->plan,
-                                                  equiv->predicted_trace)) {
-        ++stats_.equiv_hits;
-        return entry;
-      }
+    if (!equiv->has_trace) {
+      ++stats_.misses;
+      return nullptr;
+    }
+    // Trace index fast path: the key *is* the stored execution's observed
+    // trace, so a hit is self-validating — predicted == observed by key
+    // equality.
+    if (Node* node = Touch(trace_key)) {
+      ++stats_.equiv_hits;
+      return node->entry;
+    }
+    // Restriction matching: the full-trace key misses whenever the stored
+    // execution stopped early (its observed trace is a strict prefix of any
+    // full prediction), so this test's stored traces are scanned for one
+    // this plan reproduces element for element — after the lock is dropped.
+    SnapshotRestrictionCandidates(test_id, &candidates);
+    if (candidates.empty()) {
+      ++stats_.misses;
+      return nullptr;
     }
   }
+  for (const Candidate& candidate : candidates) {
+    if (PlanReproducesObservedTrace(*equiv->plan, candidate.entry->observed_trace,
+                                    equiv->predicted_trace)) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      // Evicted since the snapshot? The shared entry is still the validated
+      // execution; only the recency splice is moot.
+      Touch(candidate.key);
+      ++stats_.equiv_hits;
+      return candidate.entry;
+    }
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.misses;
   return nullptr;
 }
@@ -416,47 +441,68 @@ void RunCache::Insert(const std::string& test_id, const std::string& plan_text,
                       std::shared_ptr<const TestResult> result,
                       const EquivQuery* equiv,
                       const std::string* observed_trace) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  // Everything but the index update happens before the lock: the payload and
+  // its byte estimate, then every alias's digest and legacy key, in the
+  // order they are inserted.
   auto entry = std::make_shared<Entry>();
   entry->result = std::move(result);
   if (observed_trace != nullptr) {
     entry->observed_trace = *observed_trace;
   }
-  InsertEntry(ExactRunKey(test_id, plan_text, trial),
-              [&] { return ExactKey(test_id, plan_text, trial); }, entry);
-  if (!trial_insensitive) {
-    // Trial-sensitive executions are never shared across trials or plans:
-    // the RNG seed folds in the plan description, so different descriptions
-    // legitimately diverge.
-    return;
+  entry->payload_bytes = PayloadBytes(*entry->result, entry->observed_trace);
+  const std::shared_ptr<const Entry> shared = std::move(entry);
+
+  struct Alias {
+    Digest128 key;
+    std::string legacy_key;
+    bool trace = false;  // registered for restriction matching once inserted
+  };
+  Alias aliases[4];
+  size_t alias_count = 0;
+  bool mispredicted = false;
+  const Digest128 prefix = PlanKeyPrefix(test_id, plan_text);
+  aliases[alias_count++] = {ExactKeyFromPrefix(prefix, trial),
+                            ExactKey(test_id, plan_text, trial)};
+  // Trial-sensitive executions are never shared across trials or plans: the
+  // RNG seed folds in the plan description, so different descriptions
+  // legitimately diverge.
+  if (trial_insensitive) {
+    aliases[alias_count++] = {WildcardKeyFromPrefix(prefix),
+                              WildcardKey(test_id, plan_text)};
+    // Index by what the execution actually observed — always truthful, and
+    // deliberately not gated on `equiv`: the pre-run baseline executes
+    // before the unit's ReadSurface exists, yet must be reachable by plans
+    // that later collapse to it.
+    if (observed_trace != nullptr && !observed_trace->empty()) {
+      aliases[alias_count++] = {TraceRunKey(test_id, *observed_trace),
+                                TraceKey(test_id, *observed_trace),
+                                /*trace=*/true};
+      if (equiv != nullptr && equiv->computed) {
+        if (equiv->has_trace && equiv->predicted_trace != *observed_trace) {
+          // The pre-run promise was broken for this plan: a value-gated read
+          // appeared or a promised read vanished. The canonical index would
+          // conflate this run with plans it is not equivalent to, so skip it.
+          mispredicted = true;
+        } else {
+          aliases[alias_count++] = {
+              CanonicalRunKey(test_id, equiv->canonical_fingerprint),
+              CanonicalKey(test_id, equiv->canonical_fingerprint)};
+        }
+      }
+    }
   }
-  InsertEntry(WildcardRunKey(test_id, plan_text),
-              [&] { return WildcardKey(test_id, plan_text); }, entry);
-  if (observed_trace == nullptr || observed_trace->empty()) {
-    return;
+
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (size_t i = 0; i < alias_count; ++i) {
+    Alias& alias = aliases[i];
+    if (InsertEntry(alias.key, std::move(alias.legacy_key), shared) &&
+        alias.trace) {
+      trace_keys_by_test_[test_id].push_back(alias.key);
+    }
   }
-  // Index by what the execution actually observed — always truthful, and
-  // deliberately not gated on `equiv`: the pre-run baseline executes before
-  // the unit's ReadSurface exists, yet must be reachable by plans that later
-  // collapse to it.
-  Digest128 trace_key = TraceRunKey(test_id, *observed_trace);
-  if (InsertEntry(trace_key, [&] { return TraceKey(test_id, *observed_trace); },
-                  entry)) {
-    trace_keys_by_test_[test_id].push_back(trace_key);
-  }
-  if (equiv == nullptr || !equiv->computed) {
-    return;
-  }
-  if (equiv->has_trace && equiv->predicted_trace != *observed_trace) {
-    // The pre-run promise was broken for this plan: a value-gated read
-    // appeared or a promised read vanished. The canonical index would
-    // conflate this run with plans it is not equivalent to, so skip it.
+  if (mispredicted) {
     ++stats_.mispredictions;
-    return;
   }
-  InsertEntry(CanonicalRunKey(test_id, equiv->canonical_fingerprint),
-              [&] { return CanonicalKey(test_id, equiv->canonical_fingerprint); },
-              entry);
 }
 
 void RunCache::Insert(const std::string& test_id, const std::string& plan_text,
@@ -469,10 +515,11 @@ void RunCache::Insert(const std::string& test_id, const std::string& plan_text,
 
 bool RunCache::InsertAliasForTesting(Digest128 key, std::string legacy_key,
                                      const TestResult& result) {
-  std::lock_guard<std::mutex> lock(mutex_);
   auto entry = std::make_shared<Entry>();
   entry->result = std::make_shared<const TestResult>(result);
-  return InsertEntry(key, [&] { return legacy_key; }, entry);
+  entry->payload_bytes = PayloadBytes(*entry->result, entry->observed_trace);
+  std::lock_guard<std::mutex> lock(mutex_);
+  return InsertEntry(key, std::move(legacy_key), entry);
 }
 
 bool RunCache::SaveToFile(const std::string& path) const {
@@ -611,6 +658,7 @@ bool RunCache::LoadFromFile(const std::string& path) {
     }
     result->passed = passed == "1";
     entry->result = std::move(result);
+    entry->payload_bytes = PayloadBytes(*entry->result, entry->observed_trace);
     // The hashed/legacy agreement gate: the digest of the whole persisted
     // string must equal the digest the hot path would fold from its
     // components. A divergence means the two lookup schemes would disagree
@@ -628,14 +676,14 @@ bool RunCache::LoadFromFile(const std::string& path) {
       // A 128-bit collision inside one file: drop both sides, as at insert.
       ++stats_.key_collisions;
       stats_.bytes -=
-          EntryBytes(existing->second->legacy_key, *existing->second->entry);
+          NodeBytes(existing->second->legacy_key, *existing->second->entry);
       lru_.erase(existing->second);
       index_.erase(existing);
       --stats_.entries;
       continue;
     }
     // File order is most-to-least recent; append keeps it.
-    stats_.bytes += EntryBytes(key, *entry);
+    stats_.bytes += NodeBytes(key, *entry);
     lru_.push_back(Node{whole_key, key, std::move(entry)});
     auto it = std::prev(lru_.end());
     index_[whole_key] = it;

@@ -63,12 +63,27 @@
 // persists across the work units they execute; the thread-pool scheduler
 // installs one *shared* cache on every worker thread, so a result computed
 // by one worker is served to all. All public methods are internally
-// synchronized (a single mutex — the cache is consulted once per unit-test
-// execution, so contention is negligible next to a run). The
-// pointer-returning Lookup is only safe when the caller serializes all
-// access (single-threaded harnesses and tests); concurrent callers use
-// LookupShared, whose returned shared_ptr stays valid past any other
-// thread's insert-triggered eviction without copying the result.
+// synchronized. The pointer-returning Lookup is only safe when the caller
+// serializes all access (single-threaded harnesses and tests); concurrent
+// callers use LookupShared, whose returned shared_ptr stays valid past any
+// other thread's insert-triggered eviction without copying the result.
+//
+// Lock discipline. Every pool worker consults the cache around every
+// execution, so whatever runs under the mutex runs serially across the pool.
+// The mutex therefore guards only the index, the LRU list, the trace-key
+// registry and the stats: probes, splices, counter bumps, and the copy of at
+// most kMaxRestrictionCandidates restriction candidates as
+// shared_ptr<const Entry>. The calling thread does everything else unlocked:
+// key digests, Canonicalize/PredictTrace, restriction matching over its copy
+// (re-locking only to splice and count a match), each alias's legacy key, and
+// the entry's byte estimate (once per entry, not per alias). Matching outside
+// the lock is sound because an Entry is immutable once published and the copy
+// owns its candidates, so an eviction racing the match can neither free nor
+// change what is being matched — and every candidate is still validated
+// against this plan before it is served. A racing insert can only turn a hit
+// into a miss (one re-execution) or serve through a different, equally
+// validated alias. With one thread, the probes, splices and counts happen in
+// the same order as in a single critical section.
 
 #ifndef SRC_TESTKIT_RUN_CACHE_H_
 #define SRC_TESTKIT_RUN_CACHE_H_
@@ -161,15 +176,15 @@ class RunCache {
                            uint64_t trial, EquivQuery* equiv = nullptr);
 
   // Copy-out variant, safe under concurrent mutation: the result is copied
-  // into `out` while the lock is held, so no pointer into the LRU escapes.
-  // Returns true on a hit.
+  // into `out` from a payload this call shares ownership of, so no pointer
+  // into the LRU escapes. Returns true on a hit.
   bool Lookup(const std::string& test_id, const std::string& plan_text,
               uint64_t trial, EquivQuery* equiv, TestResult* out);
 
   // Shared-ownership variant, safe under concurrent mutation *without* the
   // deep copy: the returned pointer shares ownership of the immutable cache
   // payload, so it stays valid even if another thread's insert evicts the
-  // entry right after the lock is released. This is what RunUnitTest uses.
+  // entry right after it is found. This is what RunUnitTest uses.
   std::shared_ptr<const TestResult> LookupShared(const std::string& test_id,
                                                  const std::string& plan_text,
                                                  uint64_t trial,
@@ -271,10 +286,13 @@ class RunCache {
   // wildcard, canonical, trace): inserting under four keys costs one payload
   // allocation, and LookupShared serves by refcount bump instead of deep
   // copy. Immutable once inserted — that immutability is what makes sharing
-  // across worker threads safe.
+  // across worker threads, and matching outside the lock, safe.
   struct Entry {
     std::shared_ptr<const TestResult> result;
     std::string observed_trace;  // empty when recorded without a surface
+    // The key-independent part of every alias's byte estimate, computed once
+    // per entry before it is published.
+    int64_t payload_bytes = 0;
   };
 
   struct Node {
@@ -290,35 +308,52 @@ class RunCache {
     }
   };
 
-  static int64_t EntryBytes(const std::string& legacy_key, const Entry& entry);
+  // A restriction-matching candidate copied out under the lock: the shared
+  // entry keeps it alive while it is matched unlocked.
+  struct Candidate {
+    Digest128 key;
+    std::shared_ptr<const Entry> entry;
+  };
+
+  // Newest-first, bounded: the runs restriction matching exists to collapse
+  // (bisection re-probes, early-stopped failing paths) are re-queried shortly
+  // after they were stored, so the most recent candidates catch them while
+  // per-miss cost stays independent of corpus size. A candidate beyond the
+  // cap only costs a re-execution, never a wrong serve.
+  static constexpr size_t kMaxRestrictionCandidates = 64;
+
+  static int64_t PayloadBytes(const TestResult& result,
+                              const std::string& observed_trace);
+  static int64_t NodeBytes(const std::string& legacy_key, const Entry& entry) {
+    return static_cast<int64_t>(sizeof(Node) + legacy_key.size()) +
+           entry.payload_bytes;
+  }
+
+  // The full lookup sequence (exact -> wildcard -> equivalence layers); see
+  // the file comment for what runs under the lock. Counts exactly one of a
+  // hit, an equiv hit, or a miss.
+  std::shared_ptr<const Entry> LookupEntry(const std::string& test_id,
+                                           const std::string& plan_text,
+                                           uint64_t trial, EquivQuery* equiv);
+
+  // --- Callers hold mutex_ -------------------------------------------------
 
   // Returns the node for `key` and marks it most-recently-used.
   Node* Touch(Digest128 key);
 
-  // `legacy_key` is built lazily by `make_legacy` only when the key is
-  // actually inserted (the common duplicate-alias case pays nothing).
-  template <typename MakeLegacy>
-  bool InsertEntry(Digest128 key, MakeLegacy&& make_legacy,
+  // Inserts `entry` under `key` unless the key is taken. A taken key with a
+  // different legacy key is a 128-bit collision: both sides are dropped.
+  // Returns true when inserted.
+  bool InsertEntry(Digest128 key, std::string legacy_key,
                    const std::shared_ptr<const Entry>& entry);
-  bool InsertEntryWithLegacy(Digest128 key, std::string legacy_key,
-                             const std::shared_ptr<const Entry>& entry);
   void EnforceLimits();
 
-  // The full lookup sequence (exact -> wildcard -> equivalence layers).
-  // Caller holds mutex_; the returned entry pointer is valid only until
-  // release (share the payload before unlocking).
-  const Entry* LookupLocked(const std::string& test_id,
-                            const std::string& plan_text, uint64_t trial,
-                            EquivQuery* equiv);
-
-  // Restriction matching: scans this test's trace-indexed entries for one
-  // whose *observed* elements all re-derive identically under `plan` (see
-  // PlanReproducesObservedTrace). Sufficient even for executions that
-  // stopped early, so this is what collapses failing-path re-runs. Any
-  // matching entry is provably the execution `plan` would produce, so first
-  // match serves.
-  const Entry* MatchByRestriction(const std::string& test_id, const TestPlan& plan,
-                                  const std::string& predicted_trace);
+  // Copies this test's newest live trace-indexed entries, at most
+  // kMaxRestrictionCandidates, for restriction matching outside the lock
+  // (see PlanReproducesObservedTrace: any match is provably the execution
+  // the plan would produce, so the first match serves).
+  void SnapshotRestrictionCandidates(const std::string& test_id,
+                                     std::vector<Candidate>* out) const;
 
   LruList lru_;  // front = most recently used
   std::unordered_map<Digest128, LruList::iterator, KeyHash> index_;
@@ -327,9 +362,9 @@ class RunCache {
   std::unordered_map<std::string, std::vector<Digest128>> trace_keys_by_test_;
   Limits limits_;
   Stats stats_;
-  // Guards every member above. Held for whole operations (lookup + LRU splice,
-  // insert + eviction), so invariants like stats_.bytes == sum(EntryBytes)
-  // hold at every release point.
+  // Guards every member above, and nothing else (see the file comment). Each
+  // critical section leaves invariants like stats_.bytes == sum(NodeBytes)
+  // intact at release.
   mutable std::mutex mutex_;
 };
 

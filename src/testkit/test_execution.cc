@@ -41,9 +41,9 @@ std::shared_ptr<const TestResult> RunUnitTestShared(const UnitTestDef& test,
   // nondeterminism campaign-wide), while Fingerprint() additionally covers
   // extra_overrides and is the cache identity, so plans differing only in
   // dependency overrides never alias. Both are memoized on the plan, so a
-  // caller re-running the same plan object pays for them once.
-  const std::string& plan_fp = plan.Fingerprint();
-
+  // caller re-running the same plan object pays for them once — and the
+  // fingerprint is rendered only when a cache is installed to key by it.
+  //
   // Memoization: identical (test, plan, trial) triples are reproducible by
   // construction, so a cached result is exactly what a fresh execution would
   // return. Cache hits record no duration — nothing actually ran. With a
@@ -63,7 +63,8 @@ std::shared_ptr<const TestResult> RunUnitTestShared(const UnitTestDef& test,
     // lock, so the result stays valid past any other worker's insert without
     // a deep copy.
     if (std::shared_ptr<const TestResult> cached =
-            cache->LookupShared(test.id, plan_fp, trial, equiv_query)) {
+            cache->LookupShared(test.id, plan.Fingerprint(), trial,
+                                equiv_query)) {
       return cached;
     }
   }
@@ -97,7 +98,7 @@ std::shared_ptr<const TestResult> RunUnitTestShared(const UnitTestDef& test,
     const std::string observed_trace = ObservedTraceText(result->report);
     // The cache shares this exact payload across its key aliases — the
     // insert allocates no TestResult copy.
-    cache->Insert(test.id, plan_fp, trial,
+    cache->Insert(test.id, plan.Fingerprint(), trial,
                   /*trial_insensitive=*/!context.TrialSensitive(), result,
                   equiv_query, &observed_trace);
   }

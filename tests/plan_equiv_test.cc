@@ -225,5 +225,109 @@ TEST(PlanEquivTest, RejectsUnparseableElement) {
   EXPECT_FALSE(PlanReproducesObservedTrace(plan, "not-an-element", ""));
 }
 
+// ---------------------------------------------------------------------------
+// Golden renderings of the equivalence keys. The canonical fingerprint and the
+// predicted trace are digested into run-cache keys and persisted (legacy
+// string form) in cache files, so their bytes must not drift. The surface
+// covers every element kind and node indices 9 and 10, which sort as strings
+// ("#10" before "#9"); "#09" re-renders as "#9" and exercises the dedup.
+// ---------------------------------------------------------------------------
+
+SessionReport GoldenPrerun() {
+  SessionReport prerun;
+  prerun.trace_elements.insert(TraceReadElement("DataNode", 9, "p.read", nullptr));
+  prerun.trace_elements.insert(TraceReadElement("DataNode", 10, "p.read", nullptr));
+  prerun.trace_elements.insert("DataNode#09:p.read!");
+  prerun.trace_elements.insert(TraceReadElement("DataNode", 9, "p.read.x", nullptr));
+  prerun.trace_elements.insert(TraceReadElement(kClientEntity, 0, "q.read", nullptr));
+  prerun.trace_elements.insert(TraceReadElement("NameNode", 0, "dep.read", nullptr));
+  prerun.trace_elements.insert(TraceHasElement("NameNode", 0, "h.has", nullptr));
+  prerun.trace_elements.insert(TraceUncertainElement("u.param"));
+  return prerun;
+}
+
+// Out of canonical order, with one unread entry and one unread dependency
+// override, one entry per assigner strategy.
+TestPlan GoldenPooledPlan() {
+  TestPlan plan;
+  ParamPlan unread;
+  unread.param = "z.unread";
+  unread.assigner = ValueAssigner::UniformGroup("DataNode", "1", "0");
+  plan.Add(unread);
+  ParamPlan read;
+  read.param = "p.read";
+  read.assigner = ValueAssigner::RoundRobinGroup("DataNode", "even", "odd");
+  read.extra_overrides.emplace_back("x.unread", "off");
+  read.extra_overrides.emplace_back("dep.read", "on");
+  plan.Add(read);
+  ParamPlan has;
+  has.param = "h.has";
+  has.assigner = ValueAssigner::UniformGroup("NameNode", "1", "2");
+  plan.Add(has);
+  ParamPlan client;
+  client.param = "q.read";
+  client.assigner = ValueAssigner::Homogeneous("v");
+  plan.Add(client);
+  return plan;
+}
+
+TEST(PlanEquivGoldenTest, CanonicalFingerprint) {
+  ReadSurface surface(GoldenPrerun());
+  CanonicalPlan canonical = surface.Canonicalize(GoldenPooledPlan());
+  EXPECT_EQ(canonical.fingerprint,
+            "h.has{uniform-group NameNode=1 others=2}, "
+            "p.read{round-robin-group DataNode=even others=odd}[dep.read=on], "
+            "q.read{homogeneous v}");
+  EXPECT_TRUE(canonical.changed);
+  EXPECT_EQ(canonical.dropped_entries, 1);
+  EXPECT_EQ(canonical.dropped_overrides, 1);
+
+  CanonicalPlan baseline = surface.Canonicalize(TestPlan{});
+  EXPECT_EQ(baseline.fingerprint, "");
+  EXPECT_FALSE(baseline.changed);
+
+  // Already canonical: unchanged, byte-identical to the plan's fingerprint.
+  TestPlan single = PlanFor("q.read", ValueAssigner::Homogeneous("v"));
+  CanonicalPlan same = surface.Canonicalize(single);
+  EXPECT_EQ(same.fingerprint, "q.read{homogeneous v}");
+  EXPECT_FALSE(same.changed);
+}
+
+TEST(PlanEquivGoldenTest, PredictedTrace) {
+  ReadSurface surface(GoldenPrerun());
+  std::string trace;
+  ASSERT_TRUE(surface.PredictTrace(GoldenPooledPlan(), &trace));
+  EXPECT_EQ(trace,
+            "@h:NameNode#0:h.has=1\x1e"
+            "@u:u.param\x1e"
+            "Client#0:q.read=v\x1e"
+            "DataNode#10:p.read=even\x1e"
+            "DataNode#9:p.read.x!\x1e"
+            "DataNode#9:p.read=odd\x1e"
+            "NameNode#0:dep.read=on");
+
+  ASSERT_TRUE(surface.PredictTrace(TestPlan{}, &trace));
+  EXPECT_EQ(trace,
+            "@h:NameNode#0:h.has!\x1e"
+            "@u:u.param\x1e"
+            "Client#0:q.read!\x1e"
+            "DataNode#10:p.read!\x1e"
+            "DataNode#9:p.read!\x1e"
+            "DataNode#9:p.read.x!\x1e"
+            "NameNode#0:dep.read!");
+}
+
+TEST(PlanEquivGoldenTest, ElementRenderings) {
+  std::string value = "a=b";
+  EXPECT_EQ(TraceReadElement("DataNode", 10, "p", &value), "DataNode#10:p=a=b");
+  EXPECT_EQ(TraceReadElement("DataNode", 9, "p", nullptr), "DataNode#9:p!");
+  EXPECT_EQ(TraceHasElement("NameNode", 0, "h", &value), "@h:NameNode#0:h=a=b");
+  EXPECT_EQ(TraceHasElement("NameNode", 0, "h", nullptr), "@h:NameNode#0:h!");
+  EXPECT_EQ(TraceUncertainElement("u"), "@u:u");
+  SessionReport report;
+  report.trace_elements = {"b!", "a!"};
+  EXPECT_EQ(ObservedTraceText(report), "a!\x1e" "b!");
+}
+
 }  // namespace
 }  // namespace zebra

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
+
 namespace zebra {
 namespace {
 
@@ -45,10 +47,13 @@ TEST(TestPlanTest, LookupFindsParamAndOverrides) {
   p.extra_overrides.emplace_back("dep", "d");
   plan.Add(p);
 
-  EXPECT_EQ(plan.Lookup("main", "NameNode", 0), "1");
-  EXPECT_EQ(plan.Lookup("main", "DataNode", 0), "2");
-  EXPECT_EQ(plan.Lookup("dep", "DataNode", 0), "d");
-  EXPECT_EQ(plan.Lookup("absent", "DataNode", 0), std::nullopt);
+  ASSERT_NE(plan.Lookup("main", "NameNode", 0), nullptr);
+  EXPECT_EQ(*plan.Lookup("main", "NameNode", 0), "1");
+  ASSERT_NE(plan.Lookup("main", "DataNode", 0), nullptr);
+  EXPECT_EQ(*plan.Lookup("main", "DataNode", 0), "2");
+  ASSERT_NE(plan.Lookup("dep", "DataNode", 0), nullptr);
+  EXPECT_EQ(*plan.Lookup("dep", "DataNode", 0), "d");
+  EXPECT_EQ(plan.Lookup("absent", "DataNode", 0), nullptr);
 }
 
 TEST(TestPlanTest, PooledPlanCoversAllParams) {
@@ -59,8 +64,10 @@ TEST(TestPlanTest, PooledPlanCoversAllParams) {
     p.assigner = ValueAssigner::Homogeneous(std::to_string(i));
     plan.Add(p);
   }
-  EXPECT_EQ(plan.Lookup("p0", "X", 0), "0");
-  EXPECT_EQ(plan.Lookup("p2", "X", 0), "2");
+  ASSERT_NE(plan.Lookup("p0", "X", 0), nullptr);
+  EXPECT_EQ(*plan.Lookup("p0", "X", 0), "0");
+  ASSERT_NE(plan.Lookup("p2", "X", 0), nullptr);
+  EXPECT_EQ(*plan.Lookup("p2", "X", 0), "2");
   EXPECT_FALSE(plan.empty());
 }
 
@@ -88,6 +95,76 @@ TEST(AssignStrategyTest, Names) {
   EXPECT_STREQ(AssignStrategyName(AssignStrategy::kUniformGroup), "uniform-group");
   EXPECT_STREQ(AssignStrategyName(AssignStrategy::kRoundRobinGroup),
                "round-robin-group");
+}
+
+// ---------------------------------------------------------------------------
+// Golden renderings. ParamPlan/TestPlan fingerprints are the keys persisted in
+// v2 run-cache files and agent caches, and Describe() seeds every run's RNG:
+// a rendering drift must fail here by name instead of silently cold-starting
+// every warm cache and re-rolling seeded nondeterminism.
+// ---------------------------------------------------------------------------
+
+TestPlan GoldenPlan() {
+  TestPlan plan;
+  ParamPlan homogeneous;
+  homogeneous.param = "dfs.replication";
+  homogeneous.assigner = ValueAssigner::Homogeneous("3");
+  plan.Add(homogeneous);
+  ParamPlan uniform;
+  uniform.param = "dfs.block.size";
+  uniform.assigner = ValueAssigner::UniformGroup("DataNode", "64", "128");
+  uniform.extra_overrides.emplace_back("dfs.checksum", "on");
+  uniform.extra_overrides.emplace_back("dfs.mode", "a=b,c");
+  plan.Add(uniform);
+  ParamPlan round_robin;
+  round_robin.param = "kv.timeout";
+  round_robin.assigner = ValueAssigner::RoundRobinGroup("Server", "10", "");
+  round_robin.static_priority = 2.0;  // scheduling metadata, never rendered
+  plan.Add(round_robin);
+  return plan;
+}
+
+TEST(TestPlanGoldenTest, ParamPlanFingerprints) {
+  TestPlan plan = GoldenPlan();
+  EXPECT_EQ(plan.params()[0].Fingerprint(), "dfs.replication{homogeneous 3}");
+  EXPECT_EQ(plan.params()[1].Fingerprint(),
+            "dfs.block.size{uniform-group DataNode=64 others=128}"
+            "[dfs.checksum=on,dfs.mode=a=b,c]");
+  EXPECT_EQ(plan.params()[2].Fingerprint(),
+            "kv.timeout{round-robin-group Server=10 others=}");
+}
+
+TEST(TestPlanGoldenTest, PlanFingerprintDescribeAndSeed) {
+  TestPlan plan = GoldenPlan();
+  EXPECT_EQ(plan.Fingerprint(),
+            "dfs.replication{homogeneous 3}, "
+            "dfs.block.size{uniform-group DataNode=64 others=128}"
+            "[dfs.checksum=on,dfs.mode=a=b,c], "
+            "kv.timeout{round-robin-group Server=10 others=}");
+  // Describe() leaves the dependency overrides out (RNG-seed stability).
+  EXPECT_EQ(plan.Describe(),
+            "dfs.replication{homogeneous 3}, "
+            "dfs.block.size{uniform-group DataNode=64 others=128}, "
+            "kv.timeout{round-robin-group Server=10 others=}");
+  EXPECT_EQ(plan.DescribeSeed(), Fnv1a64(plan.Describe()));
+  EXPECT_EQ(plan.DescribeSeed(), 0x62d4be7b210b8a55ull);
+
+  TestPlan empty;
+  EXPECT_EQ(empty.Fingerprint(), "");
+  EXPECT_EQ(empty.Describe(), "");
+  EXPECT_EQ(empty.DescribeSeed(), Fnv1a64(""));
+}
+
+TEST(TestPlanGoldenTest, LookupServesAssignerValuesByIndex) {
+  TestPlan plan = GoldenPlan();
+  // Round-robin alternates by index parity: 10 is even (group value), 9 odd.
+  ASSERT_NE(plan.Lookup("kv.timeout", "Server", 10), nullptr);
+  EXPECT_EQ(*plan.Lookup("kv.timeout", "Server", 10), "10");
+  ASSERT_NE(plan.Lookup("kv.timeout", "Server", 9), nullptr);
+  EXPECT_EQ(*plan.Lookup("kv.timeout", "Server", 9), "");
+  ASSERT_NE(plan.Lookup("dfs.mode", "Server", 9), nullptr);
+  EXPECT_EQ(*plan.Lookup("dfs.mode", "Server", 9), "a=b,c");
+  EXPECT_EQ(plan.Lookup("kv.absent", "Server", 9), nullptr);
 }
 
 }  // namespace

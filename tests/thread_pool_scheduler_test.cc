@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/common/error.h"
+#include "src/conf/plan_equiv.h"
 #include "src/core/campaign_executor.h"
 #include "src/testkit/full_schema.h"
 #include "src/testkit/run_cache.h"
@@ -148,15 +149,18 @@ TEST(ThreadPoolSchedulerTest, SurvivesInjectedWorkerCrash) {
   Campaign sequential(FullSchema(), FullCorpus(), options);
   CampaignReport expected = sequential.Run();
 
-  // Worker 0 dies on its first attempt at the unit; worker 1 absorbs the
-  // queue. The report must be identical and record the requeue.
+  // Whichever worker claims the unit first dies on that first attempt; the
+  // survivor absorbs the queue and runs the requeued attempt. Keying the
+  // fault on the attempt rather than a worker index keeps the test
+  // independent of which worker wins the claim. The report must be
+  // identical and record the requeue.
   ThreadPoolCampaignOptions pool;
   pool.workers = 2;
   FaultSpec crash;
   crash.kind = FaultKind::kCrash;
   crash.test_id = "minikv.TestPutGet";
-  crash.worker = 0;
-  crash.attempt = -1;
+  crash.worker = -1;
+  crash.attempt = 0;
   pool.faults.specs.push_back(crash);
 
   CampaignReport report =
@@ -403,6 +407,123 @@ TEST(ConcurrentRunCacheTest, HammerWithLruEvictionStaysConsistent) {
   ASSERT_TRUE(cache.Lookup("hammer.final", "p", 7, nullptr, &out));
   EXPECT_TRUE(out.passed);
   EXPECT_GT(cache.stats().hits, stats.hits);
+}
+
+// A synthetic unit test for the equivalence stress below: it reads
+// kStressParams parameters on Server#0 in order and stops (fails) at the
+// first one the plan sets to "stop", exactly as a real test that throws
+// mid-body observes only a prefix of its promise. Its result is derived from
+// what it observed, so a served result that is not this plan's is visible.
+constexpr int kStressParams = 4;
+
+std::string StressParam(int index) { return "stress.p" + std::to_string(index); }
+
+TestResult StressExecute(const TestPlan& plan) {
+  TestResult result;
+  result.passed = true;
+  for (int i = 0; i < kStressParams; ++i) {
+    const std::string param = StressParam(i);
+    const std::string* value = plan.Lookup(param, "Server", 0);
+    result.report.trace_elements.insert(TraceReadElement("Server", 0, param, value));
+    if (value != nullptr && *value == "stop") {
+      result.passed = false;
+      break;
+    }
+  }
+  result.failure = ObservedTraceText(result.report);
+  return result;
+}
+
+TEST(ConcurrentRunCacheTest, EquivLookupSharedUnderEvictionServesOnlyOwnResults) {
+  // The production path (RunUnitTestShared's LookupShared + Insert with an
+  // EquivQuery) from 4 threads over one ReadSurface: overlapping pooled
+  // plans, entry orders shuffled and an unread parameter mixed in so the
+  // canonical, trace and restriction layers all serve, early-stopped runs so
+  // restriction matching has prefixes to collapse, and a byte budget small
+  // enough that candidates can be evicted between the snapshot and the match.
+  // Every serve must be the result this plan would produce; the stats must
+  // balance. Under TSan in CI this is the race gate for matching outside the
+  // cache lock.
+  SessionReport prerun;
+  for (int i = 0; i < kStressParams; ++i) {
+    prerun.trace_elements.insert(
+        TraceReadElement("Server", 0, StressParam(i), nullptr));
+  }
+  const ReadSurface surface(prerun);
+  ASSERT_TRUE(surface.usable());
+  RunCache cache(RunCache::Limits{/*max_entries=*/0, /*max_bytes=*/12 * 1024});
+
+  constexpr int kThreads = 4;
+  constexpr int kLookupsPerThread = 1500;
+  const char* const kValues[] = {"a", "b", "stop"};
+  std::atomic<int64_t> lookups{0};
+  std::atomic<int> wrong_serves{0};
+
+  auto worker = [&](int thread_index) {
+    uint64_t state = 0x9e3779b97f4a7c15ull * static_cast<uint64_t>(thread_index + 1);
+    auto next = [&state](uint64_t bound) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      return (state >> 33) % bound;
+    };
+    for (int i = 0; i < kLookupsPerThread; ++i) {
+      std::vector<ParamPlan> entries;
+      for (int p = 0; p < kStressParams; ++p) {
+        uint64_t choice = next(5);  // 0-1: absent, else a value
+        if (choice < 2) {
+          continue;
+        }
+        ParamPlan entry;
+        entry.param = StressParam(p);
+        entry.assigner = ValueAssigner::Homogeneous(kValues[choice - 2]);
+        entries.push_back(std::move(entry));
+      }
+      if (next(2) == 0) {
+        ParamPlan unread;
+        unread.param = "stress.unread";
+        unread.assigner = ValueAssigner::Homogeneous(kValues[next(3)]);
+        entries.push_back(std::move(unread));
+      }
+      if (entries.size() > 1 && next(2) == 0) {
+        std::swap(entries.front(), entries.back());
+      }
+      const TestPlan plan(std::move(entries));
+      const std::string test_id = "stress.T" + std::to_string(next(2));
+      const uint64_t trial = next(3);
+
+      EquivQuery equiv;
+      equiv.surface = &surface;
+      equiv.plan = &plan;
+      ++lookups;
+      const TestResult expected = StressExecute(plan);
+      if (std::shared_ptr<const TestResult> served =
+              cache.LookupShared(test_id, plan.Fingerprint(), trial, &equiv)) {
+        if (served->passed != expected.passed ||
+            served->failure != expected.failure) {
+          ++wrong_serves;
+        }
+        continue;
+      }
+      const std::string observed = ObservedTraceText(expected.report);
+      cache.Insert(test_id, plan.Fingerprint(), trial, /*trial_insensitive=*/true,
+                   expected, &equiv, &observed);
+    }
+  };
+
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back(worker, i);
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+
+  EXPECT_EQ(wrong_serves.load(), 0);
+  RunCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.key_collisions, 0);
+  EXPECT_EQ(stats.hits + stats.equiv_hits + stats.misses, lookups.load());
+  EXPECT_GT(stats.evictions, 0);  // the budget really rotated entries out
+  EXPECT_LE(stats.bytes, 12 * 1024);
+  EXPECT_GT(stats.misses, 0);
 }
 
 TEST(ConcurrentRunCacheTest, SharedStatsSnapshotIsConsistent) {
