@@ -31,6 +31,14 @@ class ScopedDurationCollector {
   ScopedDurationCollector& operator=(const ScopedDurationCollector&) = delete;
 };
 
+void AddConfirmation(UnitConfirmation confirmation,
+                     const ConfirmationObserver& on_confirmation, UnitWorkResult* unit) {
+  unit->confirmations.push_back(std::move(confirmation));
+  if (on_confirmation) {
+    on_confirmation(unit->confirmations.back());
+  }
+}
+
 }  // namespace
 
 int64_t CampaignReport::TotalOriginal() const {
@@ -138,6 +146,51 @@ void CampaignFolder::Fold(const UnitWorkResult& unit) {
                                        unit.run_durations.end());
 }
 
+std::set<std::string> CampaignFolder::ProjectGloballyUnsafe(
+    const std::map<size_t, PendingUnit>& pending, size_t unit_index) const {
+  std::set<std::string> projected = globally_unsafe_;
+  // Per parameter, the pending tests not already among its folded ones.
+  std::map<std::string, std::set<std::string>> pending_tests;
+  for (auto it = pending.begin(); it != pending.end() && it->first < unit_index; ++it) {
+    const PendingUnit& unit = it->second;
+    for (const std::string& param : unit.confirmed) {
+      if (projected.count(param) > 0) {
+        continue;
+      }
+      size_t folded_tests = 0;
+      auto folded = confirmed_tests_per_param_.find(param);
+      if (folded != confirmed_tests_per_param_.end()) {
+        if (folded->second.count(unit.test_id) > 0) {
+          continue;
+        }
+        folded_tests = folded->second.size();
+      }
+      std::set<std::string>& tests = pending_tests[param];
+      tests.insert(unit.test_id);
+      if (static_cast<int>(folded_tests + tests.size()) >= frequent_failure_threshold_) {
+        projected.insert(param);
+      }
+    }
+  }
+  return projected;
+}
+
+CampaignFolder::SnapshotCheck CampaignFolder::CheckSnapshot(
+    const UnitWorkResult& unit, const std::set<std::string>& snapshot) const {
+  SnapshotCheck check = SnapshotCheck::kAgrees;
+  for (const std::string& param : unit.params_tested) {
+    const bool folded = globally_unsafe_.count(param) > 0;
+    const bool assumed = snapshot.count(param) > 0;
+    if (folded && !assumed) {
+      return SnapshotCheck::kUnderProjected;
+    }
+    if (assumed && !folded) {
+      check = SnapshotCheck::kOverProjected;
+    }
+  }
+  return check;
+}
+
 CampaignReport CampaignFolder::Finish() {
   report_.total_unit_test_runs = report_.TotalExecuted();
   return std::move(report_);
@@ -175,7 +228,9 @@ Campaign::Campaign(const ConfSchema& schema, const UnitTestRegistry& corpus,
   }
 }
 
-bool Campaign::VerifyInstance(const GeneratedInstance& instance, UnitWorkResult* unit,
+bool Campaign::VerifyInstance(const GeneratedInstance& instance,
+                              const ConfirmationObserver& on_confirmation,
+                              UnitWorkResult* unit,
                               std::set<std::string>* confirmed_in_test) const {
   Verdict verdict = runner_.Verify(instance, &unit->executed_runs);
   if (verdict.kind == Verdict::Kind::kNotCandidate) {
@@ -192,19 +247,21 @@ bool Campaign::VerifyInstance(const GeneratedInstance& instance, UnitWorkResult*
     unit->runs_to_first_confirmation = unit->executed_runs;
   }
   confirmed_in_test->insert(instance.plan.param);
-  unit->confirmations.push_back(UnitConfirmation{
-      instance.plan.param, verdict.p_value, verdict.witness_failure});
+  AddConfirmation(UnitConfirmation{instance.plan.param, verdict.p_value,
+                                   verdict.witness_failure},
+                  on_confirmation, unit);
   return true;
 }
 
 void Campaign::BisectPool(const UnitTestDef& test, std::vector<GeneratedInstance> pool,
+                          const ConfirmationObserver& on_confirmation,
                           UnitWorkResult* unit,
                           std::set<std::string>* confirmed_in_test) const {
   if (pool.empty()) {
     return;
   }
   if (pool.size() == 1) {
-    VerifyInstance(pool.front(), unit, confirmed_in_test);
+    VerifyInstance(pool.front(), on_confirmation, unit, confirmed_in_test);
     return;
   }
   size_t half = pool.size() / 2;
@@ -217,7 +274,7 @@ void Campaign::BisectPool(const UnitTestDef& test, std::vector<GeneratedInstance
     }
     ++unit->executed_runs;
     if (!RunUnitTestShared(test, plan, /*trial=*/0)->passed) {
-      BisectPool(test, *side, unit, confirmed_in_test);
+      BisectPool(test, *side, on_confirmation, unit, confirmed_in_test);
     }
   }
 }
@@ -225,6 +282,7 @@ void Campaign::BisectPool(const UnitTestDef& test, std::vector<GeneratedInstance
 void Campaign::RunCouplingForTest(const UnitTestDef& test,
                                   const std::vector<CoupledInstance>& coupled,
                                   const std::set<std::string>& globally_unsafe,
+                                  const ConfirmationObserver& on_confirmation,
                                   UnitWorkResult* unit) const {
   if (coupled.empty()) {
     return;
@@ -290,9 +348,9 @@ void Campaign::RunCouplingForTest(const UnitTestDef& test,
     for (const std::string& param : pair.params) {
       confirmed_in_test.insert(param);
       ++unit->coupling_confirmations;
-      unit->confirmations.push_back(UnitConfirmation{
-          param, options_.significance,
-          "coupled failure: " + hetero->failure});
+      AddConfirmation(UnitConfirmation{param, options_.significance,
+                                       "coupled failure: " + hetero->failure},
+                      on_confirmation, unit);
     }
   }
 }
@@ -321,7 +379,8 @@ std::vector<std::string> Campaign::ParamOrder(
 void Campaign::RunPooledForTest(
     const UnitTestDef& test,
     std::map<std::string, std::vector<GeneratedInstance>> by_param,
-    const std::set<std::string>& globally_unsafe, UnitWorkResult* unit) const {
+    const std::set<std::string>& globally_unsafe,
+    const ConfirmationObserver& on_confirmation, UnitWorkResult* unit) const {
   std::set<std::string> confirmed_in_test;
   std::vector<std::string> order = ParamOrder(by_param);
   size_t max_rounds = 0;
@@ -353,12 +412,13 @@ void Campaign::RunPooledForTest(
     if (RunUnitTestShared(test, plan, /*trial=*/0)->passed) {
       continue;  // every pooled parameter assumed safe for this instance
     }
-    BisectPool(test, std::move(pool), unit, &confirmed_in_test);
+    BisectPool(test, std::move(pool), on_confirmation, unit, &confirmed_in_test);
   }
 }
 
 UnitWorkResult Campaign::RunUnitDynamic(
-    const PreRunRecord& record, const std::set<std::string>& globally_unsafe) const {
+    const PreRunRecord& record, const std::set<std::string>& globally_unsafe,
+    const ConfirmationObserver& on_confirmation) const {
   UnitWorkResult unit;
   unit.app = record.test->app;
   unit.test_id = record.test->id;
@@ -443,7 +503,8 @@ UnitWorkResult Campaign::RunUnitDynamic(
   }
 
   if (options_.enable_pooling) {
-    RunPooledForTest(*record.test, std::move(by_param), globally_unsafe, &unit);
+    RunPooledForTest(*record.test, std::move(by_param), globally_unsafe,
+                     on_confirmation, &unit);
   } else {
     // Ablation: verify every instance individually (stop per parameter once
     // confirmed in this test).
@@ -454,7 +515,7 @@ UnitWorkResult Campaign::RunUnitDynamic(
         if (globally_unsafe.count(param) > 0 || confirmed_in_test.count(param) > 0) {
           break;
         }
-        VerifyInstance(instance, &unit, &confirmed_in_test);
+        VerifyInstance(instance, on_confirmation, &unit, &confirmed_in_test);
       }
     }
   }
@@ -462,12 +523,13 @@ UnitWorkResult Campaign::RunUnitDynamic(
   // Coupling add-on: strictly after the enumerative phase, so that phase's
   // results (and runs_to_first accounting) are untouched whether or not the
   // add-on runs.
-  RunCouplingForTest(*record.test, coupled, globally_unsafe, &unit);
+  RunCouplingForTest(*record.test, coupled, globally_unsafe, on_confirmation, &unit);
   return unit;
 }
 
 UnitWorkResult Campaign::RunUnit(const UnitTestDef& test,
-                                 const std::set<std::string>& globally_unsafe) {
+                                 const std::set<std::string>& globally_unsafe,
+                                 const ConfirmationObserver& on_confirmation) {
   RunCache* cache = active_cache();
   ScopedRunCache scoped_cache(cache);
   // Per-unit stat deltas only make sense when this engine is the cache's
@@ -486,7 +548,7 @@ UnitWorkResult Campaign::RunUnit(const UnitTestDef& test,
     ScopedDurationCollector scoped_collector(&durations);
     int64_t prerun_executions = 0;
     PreRunRecord record = generator_.PreRunTest(test, &prerun_executions);
-    unit = RunUnitDynamic(record, globally_unsafe);
+    unit = RunUnitDynamic(record, globally_unsafe, on_confirmation);
     unit.prerun_executions = prerun_executions;
   }
   unit.run_durations = std::move(durations);
@@ -531,7 +593,8 @@ CampaignReport Campaign::Run() {
                   << " early";
         break;
       }
-      UnitWorkResult unit = RunUnitDynamic(record, folder.globally_unsafe());
+      UnitWorkResult unit =
+          RunUnitDynamic(record, folder.globally_unsafe(), /*on_confirmation=*/{});
       unit.prerun_executions = 1;  // the PreRunApp baseline for this record
       folder.Fold(unit);
     }

@@ -24,6 +24,7 @@
 
 #include <csignal>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -273,6 +274,11 @@ struct UnitConfirmation {
   std::string witness_failure;
 };
 
+// Told about each confirmation as Campaign::RunUnit appends it to
+// UnitWorkResult::confirmations, before the unit finishes. The thread pool
+// uses it to project later dispatches' globally-unsafe snapshots.
+using ConfirmationObserver = std::function<void(const UnitConfirmation&)>;
+
 // Everything one (app, unit test) work unit contributes to the campaign
 // report. Produced by Campaign::RunUnit (in-process or in a scheduler
 // worker), consumed by CampaignFolder in canonical order.
@@ -344,6 +350,38 @@ class CampaignFolder {
   // campaign would know when starting the next canonical unit.
   const std::set<std::string>& globally_unsafe() const { return globally_unsafe_; }
 
+  // Confirmations seen from one unit the fold has not reached yet: those a
+  // running attempt has reported so far, or a delivered result's list.
+  struct PendingUnit {
+    std::string test_id;
+    std::vector<std::string> confirmed;  // parameters, repeats allowed
+  };
+
+  // The globally-unsafe set the fold will hold when it reaches canonical unit
+  // `unit_index`: globally_unsafe() plus every parameter whose confirming
+  // tests reach the threshold once the `pending` units (keyed by canonical
+  // index) before `unit_index` are counted. Tests are counted distinctly, as
+  // Fold counts them. Exact when every earlier unit is folded or pending
+  // with its final list; otherwise a guess that CheckSnapshot settles.
+  std::set<std::string> ProjectGloballyUnsafe(
+      const std::map<size_t, PendingUnit>& pending, size_t unit_index) const;
+
+  enum class SnapshotCheck {
+    kAgrees,          // snapshot and folded set agree on every tested param
+    kUnderProjected,  // a tested param is folded unsafe, not in the snapshot
+    kOverProjected,   // the snapshot holds a tested param the fold lacks
+  };
+
+  // Compares the globally-unsafe snapshot `unit` ran under with
+  // globally_unsafe() on every parameter the unit tested; a snapshot
+  // parameter the unit never tested cannot have changed its result.
+  // kUnderProjected wins when both apply. It is final as soon as it shows:
+  // the folded set only grows. kAgrees and kOverProjected are final only at
+  // the unit's own fold point, where globally_unsafe() is the exact set and
+  // an agreeing result is bitwise the sequential campaign's.
+  SnapshotCheck CheckSnapshot(const UnitWorkResult& unit,
+                              const std::set<std::string>& snapshot) const;
+
   // The in-progress report (e.g. to install a run-duration collector).
   CampaignReport& report() { return report_; }
 
@@ -369,11 +407,14 @@ class Campaign {
   // Executes one (app, unit test) work unit: pre-run, instance generation,
   // pooled testing / bisection / verification. `globally_unsafe` must be the
   // frequent-failure set a sequential campaign would know when reaching this
-  // unit (a stale subset yields a result the scheduler detects and re-runs).
-  // Installs this campaign's run cache and a unit-local duration collector
-  // for the duration of the call. Used by parallel-scheduler workers.
+  // unit (any other set yields a result the scheduler detects and re-runs).
+  // `on_confirmation`, when set, is called with each confirmation as it is
+  // made. Installs this campaign's run cache and a unit-local duration
+  // collector for the duration of the call. Used by parallel-scheduler
+  // workers.
   UnitWorkResult RunUnit(const UnitTestDef& test,
-                         const std::set<std::string>& globally_unsafe);
+                         const std::set<std::string>& globally_unsafe,
+                         const ConfirmationObserver& on_confirmation = {});
 
   // Options with `apps` resolved (empty -> every corpus app, sorted).
   const CampaignOptions& options() const { return options_; }
@@ -405,17 +446,20 @@ class Campaign {
   // result except prerun_executions, run_durations, and cache counters
   // (owned by the callers, who know what else ran).
   UnitWorkResult RunUnitDynamic(const PreRunRecord& record,
-                                const std::set<std::string>& globally_unsafe) const;
+                                const std::set<std::string>& globally_unsafe,
+                                const ConfirmationObserver& on_confirmation) const;
 
   // Per-test pooled phase over this test's instances, grouped by parameter.
   void RunPooledForTest(const UnitTestDef& test,
                         std::map<std::string, std::vector<GeneratedInstance>> by_param,
                         const std::set<std::string>& globally_unsafe,
+                        const ConfirmationObserver& on_confirmation,
                         UnitWorkResult* unit) const;
 
   // Recursive bisection of a failing pool (one instance per parameter).
   void BisectPool(const UnitTestDef& test, std::vector<GeneratedInstance> pool,
-                  UnitWorkResult* unit, std::set<std::string>* confirmed_in_test) const;
+                  const ConfirmationObserver& on_confirmation, UnitWorkResult* unit,
+                  std::set<std::string>* confirmed_in_test) const;
 
   // Coupling add-on: runs each pairwise coupled plan once; a failing pair
   // whose members pass alone and whose homogeneous controls pass confirms
@@ -424,11 +468,13 @@ class Campaign {
   void RunCouplingForTest(const UnitTestDef& test,
                           const std::vector<CoupledInstance>& coupled,
                           const std::set<std::string>& globally_unsafe,
+                          const ConfirmationObserver& on_confirmation,
                           UnitWorkResult* unit) const;
 
   // Verifies one instance through TestRunner and folds the verdict into the
   // unit result. Returns true if the parameter was confirmed unsafe.
-  bool VerifyInstance(const GeneratedInstance& instance, UnitWorkResult* unit,
+  bool VerifyInstance(const GeneratedInstance& instance,
+                      const ConfirmationObserver& on_confirmation, UnitWorkResult* unit,
                       std::set<std::string>* confirmed_in_test) const;
 
   // Parameter visit order for one test: descending static priority

@@ -144,11 +144,14 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
   std::deque<size_t> queue;
   std::vector<int> attempts(units.size(), 0);
   std::vector<double> not_before(units.size(), 0.0);
-  // Coordinator's current globally-unsafe set, copied out to dispatches.
-  // Updated under queue_mutex after every fold advance, so a worker's
-  // snapshot is always some prefix-fold state — a subset of the exact
-  // sequential set for any unit still queued (the staleness invariant).
-  std::set<std::string> unsafe_copy;
+  // Confirmations of units the fold has not reached, by unit index. A running
+  // attempt reports each one as it confirms it; delivery replaces the list
+  // with the delivered one; the critical section that folds, discards or
+  // fails the attempt erases it. Each dispatch projects its snapshot from
+  // these plus the folder's state (CampaignFolder::ProjectGloballyUnsafe), so
+  // every Fold also runs under queue_mutex: a confirmation is always either
+  // pending or folded when a dispatch looks.
+  std::map<size_t, CampaignFolder::PendingUnit> pending;
   bool stop = false;
 
   for (size_t i = cursor; i < units.size(); ++i) {
@@ -212,11 +215,19 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
           }
         }
         attempt = attempts[unit_index];
-        snapshot = unsafe_copy;
+        snapshot = folder.ProjectGloballyUnsafe(pending, unit_index);
       }
 
       const WorkUnit& work = units[unit_index];
       ResultSlot& slot = slots[unit_index];
+      // Adds to this unit's pending confirmations; caller holds queue_mutex.
+      auto record_pending = [&](const std::string& param) {
+        auto [entry, inserted] = pending.try_emplace(unit_index);
+        if (inserted) {
+          entry->second.test_id = work.test->id;
+        }
+        entry->second.confirmed.push_back(param);
+      };
       slot.failed = false;
       slot.hang = false;
 
@@ -261,7 +272,11 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
 
       if (!skip_execution) {
         try {
-          slot.unit = engine.RunUnit(*work.test, snapshot);
+          slot.unit = engine.RunUnit(
+              *work.test, snapshot, [&](const UnitConfirmation& confirmation) {
+                std::lock_guard<std::mutex> lock(queue_mutex);
+                record_pending(confirmation.param);
+              });
           slot.snapshot = std::move(snapshot);
         } catch (const std::exception& e) {
           // An exception escaping RunUnit is the in-process analog of a
@@ -269,6 +284,20 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
           ZLOG_WARN << "thread-pool campaign: unit " << work.test->id
                     << " attempt failed (" << e.what() << ")";
           slot.failed = true;
+        }
+      }
+
+      // Hand the confirmations from running to delivered before publishing,
+      // so the coordinator cannot fold or discard the result first. The
+      // delivered list replaces the reported one; a failed attempt withdraws
+      // what it reported.
+      {
+        std::lock_guard<std::mutex> lock(queue_mutex);
+        pending.erase(unit_index);
+        if (!slot.failed) {
+          for (const UnitConfirmation& confirmation : slot.unit.confirmations) {
+            record_pending(confirmation.param);
+          }
         }
       }
 
@@ -311,10 +340,6 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
     }
   } joiner{threads, queue_mutex, queue_cv, stop};
 
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex);
-    unsafe_copy = folder.globally_unsafe();
-  }
   threads.reserve(static_cast<size_t>(worker_count));
   if (remaining > 0) {
     for (int i = 0; i < worker_count; ++i) {
@@ -358,81 +383,81 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
     queue_cv.notify_one();
   };
 
-  // Staleness: a parameter the unit actually tested became globally unsafe
-  // outside its dispatch snapshot — the exact sequential run would have
-  // excluded it, so the speculative result must be discarded and re-run.
-  auto is_stale = [&](const BufferedResult& result) {
-    for (const std::string& param : result.unit.params_tested) {
-      if (folder.globally_unsafe().count(param) > 0 &&
-          result.snapshot.count(param) == 0) {
-        return true;
-      }
+  // Folds a unit and retires its pending confirmations in one critical
+  // section, then journals it outside the lock.
+  auto fold_at_cursor = [&](const UnitWorkResult& unit) {
+    begin_apps_through(units[cursor].app_index + 1);
+    {
+      std::lock_guard<std::mutex> lock(queue_mutex);
+      folder.Fold(unit);
+      pending.erase(cursor);
     }
-    return false;
+    if (journal) {
+      journal->Append(cursor, unit);
+    }
+    ++cursor;
   };
 
-  // Folds every buffered result the canonical order allows, then eagerly
-  // re-queues EVERY stale buffered result (staleness is monotone — see the
-  // forked scheduler for the full argument). Poisoned units fold as empty
-  // stubs. After any fold the workers' snapshot copy is refreshed.
+  // Folds every buffered result the canonical order allows: one whose
+  // snapshot agrees with the exact fold-point set on every tested parameter.
+  // Poisoned units fold as empty stubs. Then re-runs every result the fold
+  // has condemned. An under-projected snapshot is condemned wherever it sits
+  // (it can only get worse as the set grows — see the forked scheduler for
+  // the full argument), so the whole doomed wave re-runs in parallel. An
+  // over-projected one is condemned only at the cursor: a later unit may
+  // still confirm the extra parameter before the fold gets there.
   auto advance_fold = [&]() {
-    bool folded_any = false;
     while (cursor < units.size()) {
       if (poisoned.count(cursor) > 0) {
-        begin_apps_through(units[cursor].app_index + 1);
         UnitWorkResult stub;
         stub.app = apps[units[cursor].app_index];
         stub.test_id = units[cursor].test->id;
-        folder.Fold(stub);
-        if (journal) {
-          journal->Append(cursor, stub);
-        }
-        ++cursor;
+        fold_at_cursor(stub);
         continue;
       }
       auto it = buffered.find(cursor);
-      if (it == buffered.end() || is_stale(it->second)) {
+      if (it == buffered.end() ||
+          folder.CheckSnapshot(it->second.unit, it->second.snapshot) !=
+              CampaignFolder::SnapshotCheck::kAgrees) {
         break;
       }
-      begin_apps_through(units[cursor].app_index + 1);
-      folder.Fold(it->second.unit);
-      if (journal) {
-        journal->Append(cursor, it->second.unit);
-      }
+      fold_at_cursor(it->second.unit);
       buffered.erase(it);
-      ++cursor;
       ++live_folds;
-      folded_any = true;
       if (pool.abort_after_folds > 0 && live_folds >= pool.abort_after_folds) {
         stopped = true;  // simulated coordinator crash (test hook)
         break;
       }
     }
-    std::vector<size_t> stale_units;
+    std::vector<std::pair<size_t, const char*>> reruns;  // (unit, reason)
     for (const auto& [index, result] : buffered) {
-      if (is_stale(result)) {
-        stale_units.push_back(index);
+      CampaignFolder::SnapshotCheck check =
+          folder.CheckSnapshot(result.unit, result.snapshot);
+      if (check == CampaignFolder::SnapshotCheck::kUnderProjected) {
+        reruns.emplace_back(index, "stale globally-unsafe snapshot");
+      } else if (check == CampaignFolder::SnapshotCheck::kOverProjected &&
+                 index == cursor) {
+        reruns.emplace_back(index, "over-projected globally-unsafe snapshot");
       }
     }
-    bool requeued_any = false;
-    if (!stale_units.empty() || folded_any) {
+    if (reruns.empty()) {
+      return;
+    }
+    {
       std::lock_guard<std::mutex> lock(queue_mutex);
       // push_front in descending order keeps the re-queued wave in canonical
       // order at the head (the fold is waiting on the smallest index).
-      for (auto it = stale_units.rbegin(); it != stale_units.rend(); ++it) {
+      for (auto it = reruns.rbegin(); it != reruns.rend(); ++it) {
+        const auto& [index, reason] = *it;
         ZLOG_INFO << "thread-pool campaign: re-running unit "
-                  << buffered.at(*it).unit.test_id
-                  << " (stale globally-unsafe snapshot)";
-        buffered.erase(*it);
-        slots[*it].ready.store(false, std::memory_order_relaxed);
-        queue.push_front(*it);
-        requeued_any = true;
+                  << units[index].test->id << " (" << reason << ")";
+        buffered.erase(index);
+        pending.erase(index);
+        slots[index].ready.store(false, std::memory_order_relaxed);
+        queue.push_front(index);
       }
-      unsafe_copy = folder.globally_unsafe();
     }
-    if (requeued_any) {
-      queue_cv.notify_all();
-    }
+    queue_cv.notify_all();
   };
 
   while (cursor < units.size() && !stopped) {

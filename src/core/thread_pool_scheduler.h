@@ -27,19 +27,32 @@
 // worker is a hit for every other — strictly better than the forked
 // schedulers' per-process caches, which recompute each other's entries.
 //
-// Determinism is inherited unchanged from the work-stealing design: workers
-// run units speculatively under a snapshot of the globally-unsafe set, a
-// coordinator folds results with CampaignFolder in canonical unit order, and
-// any buffered result whose snapshot is stale (a parameter it tested became
-// globally unsafe outside the snapshot) is discarded and re-run. Findings,
-// Table-5 stage counts, and runs_to_first_detection are bitwise-identical to
+// Determinism comes from the work-stealing design: workers run units
+// speculatively under a snapshot of the globally-unsafe set, and a
+// coordinator folds results with CampaignFolder in canonical unit order.
+// Unlike the forked schedulers, a dispatch's snapshot is *projected*, not
+// just the folded prefix: the folded set plus every parameter that reaches
+// the frequent-failure threshold once the confirmations already seen from
+// earlier units are counted — those delivered but not yet folded, and those
+// a still-running unit has reported as it confirmed them
+// (CampaignFolder::ProjectGloballyUnsafe). The projection can miss a
+// parameter (a confirmation not seen yet) or hold an extra one (a
+// confirmation from an attempt later withdrawn or discarded), so it is
+// neither a subset nor a superset of the exact set. Exactness comes from the
+// fold: a result folds only if its snapshot agrees with the exact fold-point
+// set on every parameter the unit tested, in both directions
+// (CampaignFolder::CheckSnapshot); otherwise it is discarded and re-run, and
+// a re-run at the fold cursor projects exactly the folded set. A wrong
+// projection costs a re-run, never a finding. Findings, Table-5 stage
+// counts, and runs_to_first_detection are bitwise-identical to
 // Campaign(...).Run() at every thread count.
 //
 // Result delivery is lock-free: one pre-sized slot per unit; a worker writes
 // the result into its unit's slot and publishes with a release store on the
 // slot's ready flag. The only mutexes are the dispatch queue (workers pull
-// units, the coordinator pushes requeues) and the coordinator's wakeup
-// condition variable — neither is held during unit execution.
+// units and report confirmations, the coordinator folds and pushes
+// requeues) and the coordinator's wakeup condition variable — each held
+// only for short bookkeeping, never across a unit-test execution.
 //
 // Fault tolerance. The fault-injection vocabulary (fault_injection.h) maps to
 // threads as follows: kCrash terminates the worker *thread* after reporting a

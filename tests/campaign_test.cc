@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "src/testkit/full_schema.h"
 #include "src/testkit/ground_truth.h"
 #include "src/testkit/unit_test_registry.h"
@@ -130,6 +135,99 @@ TEST(CampaignTest, ExcludeParamsSkipsTriagedFindings) {
       << "triaged false positives stay out of the report";
   EXPECT_TRUE(report.findings.count("hbase.regionserver.thrift.compact") > 0)
       << "everything else is still tested";
+}
+
+// ---------------------------------------------------------------------------
+// CampaignFolder: projected snapshots and the fold-point check
+// ---------------------------------------------------------------------------
+
+UnitWorkResult Confirming(const std::string& test_id,
+                          const std::vector<std::string>& params) {
+  UnitWorkResult unit;
+  unit.app = "synthetic";
+  unit.test_id = test_id;
+  for (const std::string& param : params) {
+    unit.confirmations.push_back(UnitConfirmation{param, 1e-6, "fails"});
+  }
+  return unit;
+}
+
+CampaignFolder FolderWithThreshold(int threshold) {
+  CampaignOptions options;
+  options.frequent_failure_threshold = threshold;
+  return CampaignFolder(FullSchema(), options);
+}
+
+TEST(CampaignFolderTest, ProjectionCountsFoldedAndPendingConfirmationsTogether) {
+  CampaignFolder folder = FolderWithThreshold(3);
+  folder.Fold(Confirming("t0", {"p"}));
+  folder.Fold(Confirming("t1", {"p", "q"}));
+  ASSERT_TRUE(folder.globally_unsafe().empty());
+
+  std::map<size_t, CampaignFolder::PendingUnit> pending;
+  pending[2] = {"t2", {"p"}};
+  pending[3] = {"t3", {"q"}};
+  // Unit 4 sees p reach three tests (two folded, one pending); q has only
+  // two (one folded, one pending).
+  EXPECT_EQ(folder.ProjectGloballyUnsafe(pending, 4), std::set<std::string>{"p"});
+  // The projection is exactly the set the fold reaches.
+  folder.Fold(Confirming("t2", {"p"}));
+  folder.Fold(Confirming("t3", {"q"}));
+  EXPECT_EQ(folder.globally_unsafe(), std::set<std::string>{"p"});
+}
+
+TEST(CampaignFolderTest, ProjectionIgnoresConfirmationsFromLaterUnits) {
+  CampaignFolder folder = FolderWithThreshold(2);
+  folder.Fold(Confirming("t0", {"p"}));
+
+  std::map<size_t, CampaignFolder::PendingUnit> pending;
+  pending[3] = {"t3", {"p"}};
+  // Unit 3's own confirmations and those after it are not in its snapshot.
+  EXPECT_TRUE(folder.ProjectGloballyUnsafe(pending, 2).empty());
+  EXPECT_TRUE(folder.ProjectGloballyUnsafe(pending, 3).empty());
+  EXPECT_EQ(folder.ProjectGloballyUnsafe(pending, 4), std::set<std::string>{"p"});
+}
+
+TEST(CampaignFolderTest, ProjectionCountsDuplicateConfirmationsFromOneTestOnce) {
+  CampaignFolder folder = FolderWithThreshold(2);
+  folder.Fold(Confirming("t0", {"p"}));
+
+  std::map<size_t, CampaignFolder::PendingUnit> pending;
+  pending[1] = {"t0", {"p"}};  // a test already folded for p
+  pending[2] = {"t2", {"q", "q"}};
+  pending[3] = {"t2", {"q"}};
+  EXPECT_TRUE(folder.ProjectGloballyUnsafe(pending, 4).empty());
+
+  pending[3] = {"t3", {"q"}};
+  EXPECT_EQ(folder.ProjectGloballyUnsafe(pending, 4), std::set<std::string>{"q"});
+}
+
+TEST(CampaignFolderTest, WithdrawnConfirmationsStopCounting) {
+  CampaignFolder folder = FolderWithThreshold(2);
+  folder.Fold(Confirming("t0", {"p"}));
+
+  std::map<size_t, CampaignFolder::PendingUnit> pending;
+  pending[1] = {"t1", {"p"}};
+  ASSERT_EQ(folder.ProjectGloballyUnsafe(pending, 2), std::set<std::string>{"p"});
+  pending.erase(1);  // the attempt failed or its result was discarded
+  EXPECT_TRUE(folder.ProjectGloballyUnsafe(pending, 2).empty());
+}
+
+TEST(CampaignFolderTest, SnapshotCheckComparesTestedParametersBothWays) {
+  CampaignFolder folder = FolderWithThreshold(1);
+  folder.Fold(Confirming("t0", {"p"}));
+  ASSERT_EQ(folder.globally_unsafe(), std::set<std::string>{"p"});
+
+  UnitWorkResult unit;
+  unit.params_tested = {"p", "q"};
+  using Check = CampaignFolder::SnapshotCheck;
+  EXPECT_EQ(folder.CheckSnapshot(unit, {"p"}), Check::kAgrees);
+  EXPECT_EQ(folder.CheckSnapshot(unit, {}), Check::kUnderProjected);
+  EXPECT_EQ(folder.CheckSnapshot(unit, {"p", "q"}), Check::kOverProjected);
+  // A snapshot parameter the unit never tested cannot have changed it.
+  EXPECT_EQ(folder.CheckSnapshot(unit, {"p", "r"}), Check::kAgrees);
+  // Under-projection wins: it is final before the fold point.
+  EXPECT_EQ(folder.CheckSnapshot(unit, {"q"}), Check::kUnderProjected);
 }
 
 TEST(CampaignTest, EmptyAppsDefaultsToWholeCorpus) {

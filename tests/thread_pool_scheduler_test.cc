@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
+#include <cstdint>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -140,6 +143,65 @@ TEST(ThreadPoolSchedulerTest, EquivCacheBitwiseIdenticalAtEveryThreadCount) {
                                                   equiv_options, workers);
     ExpectIdenticalResults(pooled, expected,
                            "equiv workers=" + std::to_string(workers));
+  }
+}
+
+TEST(ThreadPoolSchedulerTest, OneWorkerSpendsOneCacheLookupPerLogicalRun) {
+  // With one worker every earlier unit is folded or delivered when a unit is
+  // dispatched, so its projected snapshot is the exact sequential set: no
+  // attempt is discarded, and every cache lookup serves a folded run. The
+  // per-record synced journal slows the fold, so the worker routinely
+  // dispatches before the previous unit is folded; a snapshot of the folded
+  // prefix alone would then miss its confirmations and waste re-runs.
+  CampaignOptions options;  // all apps
+  options.enable_run_cache = true;
+  options.enable_equiv_cache = true;
+  ThreadPoolCampaignOptions pool;
+  pool.workers = 1;
+  pool.journal_path = ::testing::TempDir() + "/threadpool_one_worker.zj";
+  pool.journal_sync_batch = 1;
+  CampaignReport pooled =
+      RunThreadPoolCampaign(FullSchema(), FullCorpus(), options, pool);
+  EXPECT_EQ(pooled.cache_hits + pooled.cache_misses + pooled.equiv_hits,
+            pooled.total_unit_test_runs);
+}
+
+TEST(ThreadPoolSchedulerTest, BenchmarkConfigurationBitwiseIdenticalAcrossOrders) {
+  // The benchmark's pool configuration (3 workers, shared cache and
+  // equivalence layer, journal synced every record) under app orders its
+  // seeds make (sorted, or shuffled by mt19937_64 seeded with the seed) and
+  // every frequent-failure threshold that couples units differently.
+  std::vector<std::string> sorted_apps;
+  for (const auto& [app, count] : FullCorpus().CountsByApp()) {
+    sorted_apps.push_back(app);
+  }
+  std::vector<std::vector<std::string>> orders = {sorted_apps};
+  for (uint64_t seed : {1ull, 4242ull}) {
+    std::vector<std::string> shuffled = sorted_apps;
+    std::mt19937_64 rng(seed);
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    orders.push_back(shuffled);
+  }
+
+  ThreadPoolCampaignOptions pool;
+  pool.workers = 3;
+  pool.journal_path = ::testing::TempDir() + "/threadpool_bench_config.zj";
+  pool.journal_sync_batch = 1;
+  for (size_t order = 0; order < orders.size(); ++order) {
+    for (int threshold : {1, 2, 3}) {
+      CampaignOptions options;
+      options.apps = orders[order];
+      options.frequent_failure_threshold = threshold;
+      CampaignReport expected = Campaign(FullSchema(), FullCorpus(), options).Run();
+
+      options.enable_run_cache = true;
+      options.enable_equiv_cache = true;
+      CampaignReport pooled =
+          RunThreadPoolCampaign(FullSchema(), FullCorpus(), options, pool);
+      ExpectIdenticalResults(pooled, expected,
+                             "order=" + std::to_string(order) +
+                                 " threshold=" + std::to_string(threshold));
+    }
   }
 }
 
