@@ -1,6 +1,5 @@
 // Observational-equivalence run deduplication (plan_equiv.h + run_cache.h),
-// measured on top of the 6-worker work-stealing + run-cache configuration —
-// the best setup bench_parallel_scaling establishes.
+// measured on top of the 6-thread pool with its shared run cache.
 //
 // Two campaign regimes are compared, both in the paper-cost regime
 // (SetSyntheticRunLatencyUs: every real execution carries the wait-dominated
@@ -36,7 +35,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
-#include "src/core/parallel_scheduler.h"
+#include "src/core/thread_pool_scheduler.h"
 #include "src/testkit/test_execution.h"
 
 namespace zebra {
@@ -72,7 +71,7 @@ CampaignReport RunArm(bool prune, bool equiv, double* best_seconds) {
   for (int i = 0; i < kRepetitions; ++i) {
     auto start = std::chrono::steady_clock::now();
     CampaignReport run =
-        RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, kWorkers);
+        RunThreadPoolCampaign(FullSchema(), FullCorpus(), options, kWorkers);
     double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
@@ -102,7 +101,7 @@ bool SameFindings(const CampaignReport& a, const CampaignReport& b) {
 
 void RunComparison() {
   PrintHeader(
-      "Observational-equivalence dedup on 6-worker stealing+cache "
+      "Observational-equivalence dedup on 6-thread pool+cache "
       "(paper-cost regime)");
   SetSyntheticRunLatencyUs(kPaperCostLatencyUs);
 
@@ -150,7 +149,7 @@ void RunComparison() {
     PrintRule('-', 76);
     for (const Arm* arm : {&exact, &equiv}) {
       std::printf("%18s %10s %10s %10s %12s %8.3f s\n",
-                  arm->equiv ? "stealing+equiv" : "stealing+cache",
+                  arm->equiv ? "threadpool+equiv" : "threadpool+cache",
                   WithCommas(arm->executed).c_str(),
                   WithCommas(arm->cache_hits).c_str(),
                   WithCommas(arm->equiv_hits).c_str(),
@@ -180,7 +179,7 @@ void RunComparison() {
     for (const Arm& arm : arms) {
       json.BeginObject();
       json.Field("regime", arm.regime);
-      json.Field("mode", arm.equiv ? "stealing+equiv" : "stealing+cache");
+      json.Field("mode", arm.equiv ? "threadpool+equiv" : "threadpool+cache");
       json.Field("executed_runs", arm.executed);
       json.Field("cache_hits", arm.cache_hits);
       json.Field("equiv_hits", arm.equiv_hits);

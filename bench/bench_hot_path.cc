@@ -21,14 +21,11 @@
 //                           comparison (the plan_equiv sort comparator shape),
 //   result_deep_copy      — TestResult copied out of the cache per hit.
 //
-// `--ci-gate` is the fast regression gate: the work-stealing and thread-pool
-// engines bitwise-identical to the sequential campaign through the report
-// serializer (they run its canonical fold); the sharded engine identical on
-// the contract fields — finding set, stage counts, runs_to_first_detection —
-// with run *attribution* exempt (per-app isolation re-executes shared
-// appcommon parameters per shard; see docs/PARALLEL.md). Plus a ceiling on
-// allocations per logical run in the cached sequential engine. Exits nonzero
-// on the first violation.
+// `--ci-gate` is the fast regression gate: the thread-pool engine, with and
+// without the run cache, bitwise-identical to the sequential campaign
+// through the report serializer (it runs the same canonical fold), plus a
+// ceiling on allocations per logical run in the cached sequential engine.
+// Exits nonzero on the first violation.
 //
 // Results land in BENCH_hotpath.json next to BENCH_parallel.json.
 
@@ -45,9 +42,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
-#include "src/core/parallel_scheduler.h"
 #include "src/core/report_io.h"
-#include "src/core/sharded_campaign.h"
 #include "src/core/thread_pool_scheduler.h"
 #include "src/testkit/test_execution.h"
 
@@ -158,16 +153,12 @@ int HardwareCores() {
   return cores == 0 ? 1 : static_cast<int>(cores);
 }
 
-enum class Engine { kSequential, kSharded, kStealing, kThreadPool };
+enum class Engine { kSequential, kThreadPool };
 
 const char* EngineName(Engine engine) {
   switch (engine) {
     case Engine::kSequential:
       return "sequential";
-    case Engine::kSharded:
-      return "sharded";
-    case Engine::kStealing:
-      return "stealing";
     case Engine::kThreadPool:
       return "threadpool";
   }
@@ -183,11 +174,6 @@ CampaignReport RunEngine(Engine engine, bool cached, int workers) {
       Campaign campaign(FullSchema(), FullCorpus(), options);
       return campaign.Run();
     }
-    case Engine::kSharded:
-      return RunShardedCampaign(FullSchema(), FullCorpus(), options, workers);
-    case Engine::kStealing:
-      return RunWorkStealingCampaign(FullSchema(), FullCorpus(), options,
-                                     workers);
     case Engine::kThreadPool:
       return RunThreadPoolCampaign(FullSchema(), FullCorpus(), options,
                                    workers);
@@ -482,13 +468,13 @@ void PrintHotPath() {
   });
 }
 
-// Fast CI gate: all four engines serialize bitwise-identically to the
+// Fast CI gate: the thread pool serializes bitwise-identically to the
 // sequential campaign (scheduling-dependent accounting zeroed out, as in
 // bench_parallel_scaling's gate), and the cached sequential engine stays
 // under the allocations-per-run ceiling. Exits nonzero on the first
 // violation.
 int RunCiGate() {
-  PrintHeader("hot-path CI gate: four-engine identity + allocs/run ceiling");
+  PrintHeader("hot-path CI gate: engine identity + allocs/run ceiling");
   (void)FullSchema();
   (void)FullCorpus();
 
@@ -496,82 +482,47 @@ int RunCiGate() {
   const std::string expected = SerializeReport(sequential);
 
   const int workers = 3;
-  for (Engine engine :
-       {Engine::kSharded, Engine::kStealing, Engine::kThreadPool}) {
-    for (bool cached : {false, true}) {
-      CampaignReport report = RunEngine(engine, cached, workers);
-      // Scheduling- and cache-dependent accounting differs legitimately;
-      // align it so the comparison covers findings, stage counts, and
-      // detection order.
-      report.wall_seconds = sequential.wall_seconds;
-      report.cache_hits = sequential.cache_hits;
-      report.cache_misses = sequential.cache_misses;
-      report.equiv_hits = sequential.equiv_hits;
-      report.canonicalized_plans = sequential.canonicalized_plans;
-      report.mispredictions = sequential.mispredictions;
-      report.cache_evictions = sequential.cache_evictions;
-      report.run_durations_seconds = sequential.run_durations_seconds;
-      if (engine == Engine::kSharded) {
-        // Per-app sharding isolates the shared appcommon parameters into
-        // every shard, so each shard re-executes work the sequential
-        // engine's cross-app accounting coalesces — run *attribution*
-        // differs while findings, stage counts, and detection order do not
-        // (the documented contract; see docs/PARALLEL.md). The stealing and
-        // thread-pool engines run the sequential engine's own canonical
-        // fold, so they are held to full bitwise identity below.
-        for (auto& [app, counts] : report.per_app) {
-          counts.executed_runs = sequential.per_app.at(app).executed_runs;
-        }
-        report.total_unit_test_runs = sequential.total_unit_test_runs;
-        report.first_trial_candidates = sequential.first_trial_candidates;
-        report.filtered_by_hypothesis = sequential.filtered_by_hypothesis;
-        // Same isolation effect on per-finding attribution: a shared
-        // parameter confirmed in several shards accumulates witnesses (and
-        // a best p-value) from each, where the sequential engine confirms
-        // it once. The finding *set* is the contract; check it explicitly,
-        // then let the serialized comparison cover everything else.
-        bool same_params =
-            report.findings.size() == sequential.findings.size();
-        for (const auto& [param, finding] : sequential.findings) {
-          same_params = same_params && report.findings.count(param) > 0;
-        }
-        if (!same_params) {
-          std::fprintf(stderr,
-                       "FAIL: sharded%s at %d workers found a different "
-                       "unsafe-parameter set than the sequential campaign\n",
-                       cached ? "+cache" : "", workers);
-          return 1;
-        }
-        report.findings = sequential.findings;
+  const Engine engine = Engine::kThreadPool;
+  for (bool cached : {false, true}) {
+    CampaignReport report = RunEngine(engine, cached, workers);
+    // Scheduling- and cache-dependent accounting differs legitimately;
+    // align it so the comparison covers findings, stage counts, and
+    // detection order.
+    report.wall_seconds = sequential.wall_seconds;
+    report.cache_hits = sequential.cache_hits;
+    report.cache_misses = sequential.cache_misses;
+    report.equiv_hits = sequential.equiv_hits;
+    report.canonicalized_plans = sequential.canonicalized_plans;
+    report.mispredictions = sequential.mispredictions;
+    report.cache_evictions = sequential.cache_evictions;
+    report.run_durations_seconds = sequential.run_durations_seconds;
+    const std::string actual = SerializeReport(report);
+    if (actual != expected) {
+      std::fprintf(stderr,
+                   "FAIL: %s%s at %d workers is not bitwise-identical to "
+                   "the sequential campaign\n",
+                   EngineName(engine), cached ? "+cache" : "", workers);
+      // Point at the first divergent line so the failure is debuggable
+      // from CI logs alone.
+      size_t offset = 0;
+      while (offset < expected.size() && offset < actual.size() &&
+             expected[offset] == actual[offset]) {
+        ++offset;
       }
-      const std::string actual = SerializeReport(report);
-      if (actual != expected) {
-        std::fprintf(stderr,
-                     "FAIL: %s%s at %d workers is not bitwise-identical to "
-                     "the sequential campaign\n",
-                     EngineName(engine), cached ? "+cache" : "", workers);
-        // Point at the first divergent line so the failure is debuggable
-        // from CI logs alone.
-        size_t offset = 0;
-        while (offset < expected.size() && offset < actual.size() &&
-               expected[offset] == actual[offset]) {
-          ++offset;
-        }
-        size_t line_start = expected.rfind('\n', offset);
-        line_start = line_start == std::string::npos ? 0 : line_start + 1;
-        auto line_at = [line_start](const std::string& text) {
-          size_t end = text.find('\n', line_start);
-          return text.substr(line_start, end == std::string::npos
-                                             ? std::string::npos
-                                             : end - line_start);
-        };
-        std::fprintf(stderr, "  expected: %s\n  actual:   %s\n",
-                     line_at(expected).c_str(), line_at(actual).c_str());
-        return 1;
-      }
-      std::printf("identity: %s%s at %d workers OK\n", EngineName(engine),
-                  cached ? "+cache" : "", workers);
+      size_t line_start = expected.rfind('\n', offset);
+      line_start = line_start == std::string::npos ? 0 : line_start + 1;
+      auto line_at = [line_start](const std::string& text) {
+        size_t end = text.find('\n', line_start);
+        return text.substr(line_start, end == std::string::npos
+                                           ? std::string::npos
+                                           : end - line_start);
+      };
+      std::fprintf(stderr, "  expected: %s\n  actual:   %s\n",
+                   line_at(expected).c_str(), line_at(actual).c_str());
+      return 1;
     }
+    std::printf("identity: %s%s at %d workers OK\n", EngineName(engine),
+                cached ? "+cache" : "", workers);
   }
 
   CampaignSample cached =

@@ -1,19 +1,13 @@
 // "Test in parallel" (§4): test instances are independent, so the paper runs
-// them across 100 machines x 20 containers. This bench compares the
-// single-machine parallelization strategies on the full campaign:
+// them across 100 machines x 20 containers. This bench compares the two
+// parallel transports over the shared FoldCoordinator on the full campaign:
 //
-//   sharded   — static per-app sharding (sharded_campaign.h): hard-capped by
-//               the largest shard (minidfs alone is ~70% of the work),
-//   stealing  — forked work-stealing (app, unit-test) scheduler
-//               (parallel_scheduler.h): capped by the largest *unit*,
-//   stealing+cache — same, with the memoized run cache serving repeated
-//               bisection probes and homogeneous controls without executing,
-//   threadpool — in-process worker threads (thread_pool_scheduler.h): the
-//               same dynamic dispatch as stealing with zero fork/IPC cost —
-//               results travel by pointer, not by pipe,
+//   threadpool — in-process worker threads (thread_pool_scheduler.h) pulling
+//               (app, unit-test) units dynamically, capped by the largest
+//               unit; results travel by pointer, not by pipe,
 //   threadpool+cache — same, with one shared internally synchronized run
-//               cache across all workers (hits propagate cross-worker
-//               immediately instead of per-process).
+//               cache across all workers serving repeated bisection probes
+//               and homogeneous controls without executing.
 //   distributed(+cache) — the TCP campaign fabric (distributed_campaign.h):
 //               N forked agent processes x 1 thread each over the framed
 //               wire protocol (v2: pipelined leases, batched dispatch/result
@@ -27,9 +21,9 @@
 //
 // Two cost regimes are measured:
 //
-//   native     — runs cost microseconds of pure CPU. At this scale fork/IPC
-//                overhead dominates the forked schedulers; the thread pool
-//                exists to close exactly this gap. True CPU parallelism
+//   native     — runs cost microseconds of pure CPU. At this scale the
+//                fabric's fork/TCP overhead is visible next to the thread
+//                pool's zero transport cost. True CPU parallelism
 //                requires real cores — `hardware_cores` is emitted alongside
 //                the numbers, and the CI gate scales its expectation by it
 //                (a single-core box cannot speed up CPU-bound work, no
@@ -42,7 +36,7 @@
 //                so this regime shows scheduling quality on any hardware.
 //
 // Every row yields bitwise-identical findings (enforced by
-// tests/parallel_scheduler_test.cc and tests/thread_pool_scheduler_test.cc);
+// tests/thread_pool_scheduler_test.cc and tests/distributed_campaign_test.cc);
 // only wall-clock differs. Results are printed and emitted machine-readable
 // to BENCH_parallel.json.
 //
@@ -72,9 +66,7 @@
 #include "bench/bench_common.h"
 #include "src/core/distributed_campaign.h"
 #include "src/core/fleet_model.h"
-#include "src/core/parallel_scheduler.h"
 #include "src/core/report_io.h"
-#include "src/core/sharded_campaign.h"
 #include "src/core/thread_pool_scheduler.h"
 #include "src/testkit/test_execution.h"
 
@@ -85,9 +77,6 @@ constexpr int64_t kPaperCostLatencyUs = 500;
 
 enum class Mode {
   kSequential,
-  kSharded,
-  kStealing,
-  kStealingCache,
   kThreadPool,
   kThreadPoolCache,
   kDistributed,
@@ -98,12 +87,6 @@ const char* ModeName(Mode mode) {
   switch (mode) {
     case Mode::kSequential:
       return "sequential";
-    case Mode::kSharded:
-      return "sharded";
-    case Mode::kStealing:
-      return "stealing";
-    case Mode::kStealingCache:
-      return "stealing+cache";
     case Mode::kThreadPool:
       return "threadpool";
     case Mode::kThreadPoolCache:
@@ -135,9 +118,8 @@ double CoreScaledSpeedupFloor(int cores) {
 
 double TimeRun(Mode mode, int workers, CampaignReport* out) {
   CampaignOptions options;  // all apps
-  options.enable_run_cache = mode == Mode::kStealingCache ||
-                             mode == Mode::kThreadPoolCache ||
-                             mode == Mode::kDistributedCache;
+  options.enable_run_cache =
+      mode == Mode::kThreadPoolCache || mode == Mode::kDistributedCache;
   auto start = std::chrono::steady_clock::now();
   CampaignReport report;
   switch (mode) {
@@ -146,14 +128,6 @@ double TimeRun(Mode mode, int workers, CampaignReport* out) {
       report = campaign.Run();
       break;
     }
-    case Mode::kSharded:
-      report = RunShardedCampaign(FullSchema(), FullCorpus(), options, workers);
-      break;
-    case Mode::kStealing:
-    case Mode::kStealingCache:
-      report =
-          RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, workers);
-      break;
     case Mode::kThreadPool:
     case Mode::kThreadPoolCache:
       report =
@@ -186,12 +160,11 @@ double BestOf(int repetitions, Mode mode, int workers, CampaignReport* out) {
   double best = 0;
   for (int i = 0; i < repetitions; ++i) {
 #if defined(__GLIBC__)
-    // Release freed heap pages before each timed run. By the fork-based
-    // rows this process has run dozens of campaigns; without the trim
-    // every forked child (shard, stealing worker, fabric agent) pays a
-    // copy-on-write fault for each reused dirty page — a tax levied by
-    // the bench harness's own allocation history, not by the engine
-    // under measurement.
+    // Release freed heap pages before each timed run. By the fabric rows
+    // this process has run dozens of campaigns; without the trim every
+    // forked agent pays a copy-on-write fault for each reused dirty page —
+    // a tax levied by the bench harness's own allocation history, not by
+    // the engine under measurement.
     ::malloc_trim(0);
 #endif
     double seconds = TimeRun(mode, workers, i == 0 ? out : nullptr);
@@ -230,10 +203,8 @@ void RunRegime(const char* regime, int repetitions, std::vector<Row>* rows,
   std::printf("%16s %8s %12s %9s %9s %12s\n", "mode", "workers", "wall-clock",
               "speedup", "findings", "cache h/m");
   PrintRule('-', 72);
-  for (Mode mode :
-       {Mode::kSharded, Mode::kStealing, Mode::kStealingCache,
-        Mode::kThreadPool, Mode::kThreadPoolCache, Mode::kDistributed,
-        Mode::kDistributedCache}) {
+  for (Mode mode : {Mode::kThreadPool, Mode::kThreadPoolCache,
+                    Mode::kDistributed, Mode::kDistributedCache}) {
     for (int workers : {1, 2, 3, 6}) {
       CampaignReport report;
       double seconds = BestOf(repetitions, mode, workers, &report);
@@ -278,14 +249,6 @@ void WriteJson(const std::vector<Row>& rows,
                CoreScaledSpeedupFloor(cores));
     json.Field("native_threadpool_speedup_at_6_workers",
                Ratio(native_sequential, native_at_6.at(Mode::kThreadPool)));
-    json.Field(
-        "native_threadpool_vs_stealing_at_6_workers",
-        Ratio(native_at_6.at(Mode::kStealing), native_at_6.at(Mode::kThreadPool)));
-    json.Field("paper_cost_stealing_vs_sharded_at_6_workers",
-               Ratio(paper_at_6.at(Mode::kSharded), paper_at_6.at(Mode::kStealing)));
-    json.Field(
-        "paper_cost_stealing_cache_vs_sharded_at_6_workers",
-        Ratio(paper_at_6.at(Mode::kSharded), paper_at_6.at(Mode::kStealingCache)));
     json.Field("paper_cost_threadpool_speedup_at_6_workers",
                Ratio(paper_sequential, paper_at_6.at(Mode::kThreadPool)));
     json.Field(
@@ -339,7 +302,7 @@ void WriteJson(const std::vector<Row>& rows,
 
 void PrintScaling() {
   PrintHeader(
-      "§4 — Test in parallel: sharding vs work-stealing vs thread pool");
+      "§4 — Test in parallel: thread pool vs distributed fabric");
 
   std::vector<Row> rows;
   std::map<Mode, double> native_at_6;
@@ -360,33 +323,24 @@ void PrintScaling() {
 
   const int cores = HardwareCores();
   std::printf(
-      "paper-cost regime at 6 workers, vs static sharding:\n"
-      "  work-stealing alone:      %.2fx\n"
-      "  work-stealing + cache:    %.2fx\n"
+      "paper-cost regime at 6 workers, vs sequential:\n"
       "  thread pool:              %.2fx\n"
       "  thread pool + cache:      %.2fx   <- the full in-process engine\n"
       "  distributed fabric:       %.2fx\n"
       "  distributed + cache:      %.2fx\n"
-      "Static sharding is bounded by its largest shard (minidfs, ~70%% of the\n"
-      "work); dynamic dispatch is bounded by the largest single (app,\n"
-      "unit-test) unit. Exactness costs re-runs: frequent-failure threshold\n"
-      "crossings spread across the whole canonical order, so speculatively\n"
-      "dispatched units re-run to match the sequential globally-unsafe set\n"
-      "bit-for-bit; the run cache recoups exactly that duplicated work. The\n"
-      "thread pool runs the same dispatch with zero fork/exec/pipe cost and\n"
-      "a cache every worker shares, which is why it leads both regimes. In\n"
-      "the native regime thread parallelism is bounded by physical cores\n"
-      "(this box: %d); the forked schedulers lose outright to fork/IPC\n"
-      "overhead there — reported for honesty. Findings are bitwise-identical\n"
-      "in every row (tests/parallel_scheduler_test.cc,\n"
-      "tests/thread_pool_scheduler_test.cc).\n\n",
-      Ratio(paper_at_6[Mode::kSharded], paper_at_6[Mode::kStealing]),
-      Ratio(paper_at_6[Mode::kSharded], paper_at_6[Mode::kStealingCache]),
-      Ratio(paper_at_6[Mode::kSharded], paper_at_6[Mode::kThreadPool]),
-      Ratio(paper_at_6[Mode::kSharded], paper_at_6[Mode::kThreadPoolCache]),
-      Ratio(paper_at_6[Mode::kSharded], paper_at_6[Mode::kDistributed]),
-      Ratio(paper_at_6[Mode::kSharded], paper_at_6[Mode::kDistributedCache]),
-      cores);
+      "Dynamic dispatch is bounded by the largest single (app, unit-test)\n"
+      "unit. Exactness costs re-runs: frequent-failure threshold crossings\n"
+      "spread across the whole canonical order, so speculatively dispatched\n"
+      "units re-run to match the sequential globally-unsafe set bit-for-bit;\n"
+      "the run cache recoups exactly that duplicated work. In the native\n"
+      "regime thread parallelism is bounded by physical cores (this box:\n"
+      "%d). Findings are bitwise-identical in every row\n"
+      "(tests/thread_pool_scheduler_test.cc,\n"
+      "tests/distributed_campaign_test.cc).\n\n",
+      Ratio(paper_sequential, paper_at_6[Mode::kThreadPool]),
+      Ratio(paper_sequential, paper_at_6[Mode::kThreadPoolCache]),
+      Ratio(paper_sequential, paper_at_6[Mode::kDistributed]),
+      Ratio(paper_sequential, paper_at_6[Mode::kDistributedCache]), cores);
 
   CampaignReport sequential_report;
   TimeRun(Mode::kSequential, 1, &sequential_report);
@@ -480,46 +434,6 @@ int RunCiGate() {
   std::printf("thread-pool CI gate passed\n");
   return 0;
 }
-
-void BM_ShardedCampaign(benchmark::State& state) {
-  const int workers = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    CampaignOptions options;
-    CampaignReport report =
-        RunShardedCampaign(FullSchema(), FullCorpus(), options, workers);
-    benchmark::DoNotOptimize(report.findings.size());
-  }
-}
-BENCHMARK(BM_ShardedCampaign)->Arg(1)->Arg(3)->Arg(6)->Unit(benchmark::kMillisecond);
-
-void BM_WorkStealingCampaign(benchmark::State& state) {
-  const int workers = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    CampaignOptions options;
-    CampaignReport report =
-        RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, workers);
-    benchmark::DoNotOptimize(report.findings.size());
-  }
-}
-BENCHMARK(BM_WorkStealingCampaign)
-    ->Arg(1)
-    ->Arg(3)
-    ->Arg(6)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_WorkStealingCampaignCached(benchmark::State& state) {
-  const int workers = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    CampaignOptions options;
-    options.enable_run_cache = true;
-    CampaignReport report =
-        RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, workers);
-    benchmark::DoNotOptimize(report.findings.size());
-  }
-}
-BENCHMARK(BM_WorkStealingCampaignCached)
-    ->Arg(6)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_ThreadPoolCampaign(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));

@@ -33,7 +33,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,11 +41,10 @@
 #include "src/common/error.h"
 #include "src/core/campaign.h"
 #include "src/core/campaign_agent.h"
-#include "src/core/campaign_executor.h"
+#include "src/core/distributed_campaign.h"
 #include "src/core/fabric_wire.h"
-#include "src/core/parallel_scheduler.h"
 #include "src/core/report_writer.h"
-#include "src/core/sharded_campaign.h"
+#include "src/core/thread_pool_scheduler.h"
 #include "src/testkit/full_schema.h"
 #include "src/testkit/ground_truth.h"
 #include "src/testkit/unit_test_registry.h"
@@ -159,15 +157,15 @@ int main(int argc, char** argv) {
           "          [--watchdog-floor SECONDS]\n"
           "          [--static-prior] [--no-coupling-plans]\n"
           "          [--impacted-only DIFF.json]\n"
-          "          [--engine sequential|sharded|stealing|threadpool|"
-          "distributed]\n"
+          "          [--engine sequential|threadpool|distributed]\n"
           "          [--agents N] [--agent-threads K] [--pipeline-depth N]\n"
           "          [--agent-cache-dir DIR] [--listen HOST:PORT]\n"
           "          [--connect HOST:PORT] [--agent-index N]\n"
           "          [app ...]\n"
           "apps: minidfs minimr miniyarn ministream minikv apptools\n"
           "--cache-file warm-starts the run cache from FILE (if it exists)\n"
-          "and saves the cache back after the campaign (also on SIGINT/SIGTERM).\n"
+          "and saves the cache back after the campaign (also on SIGINT/SIGTERM);\n"
+          "sequential engine only.\n"
           "--journal appends every folded unit result to FILE (crash-safe);\n"
           "--resume replays a journal's valid prefix instead of re-running it.\n"
           "--journal-sync picks the durability policy: 'every' (default)\n"
@@ -182,10 +180,10 @@ int main(int argc, char** argv) {
           "--impacted-only restricts the dynamic phase to tests whose pre-run\n"
           "reads intersect the impacted list of a `zebralint --diff --json`\n"
           "artifact (see docs/ZEBRALINT.md).\n"
-          "--engine picks the execution backend explicitly (all five produce\n"
-          "bitwise-identical findings; see docs/PARALLEL.md). Without it the\n"
-          "driver routes by flags: journaled runs use the work-stealing pool,\n"
-          "--workers N>1 uses per-app sharding, otherwise sequential.\n"
+          "--engine picks the execution backend explicitly (all three produce\n"
+          "bitwise-identical findings; see docs/PARALLEL.md). Without it,\n"
+          "--journal or --workers N>1 runs the thread pool, otherwise the\n"
+          "sequential engine.\n"
           "--engine distributed runs the TCP campaign fabric: --agents N\n"
           "forked local agent processes x --agent-threads K threads each\n"
           "(docs/ROBUSTNESS.md, fabric section). --listen HOST:PORT instead\n"
@@ -230,23 +228,43 @@ int main(int argc, char** argv) {
     return RunCampaignAgent(FullSchema(), FullCorpus(), options, agent);
   }
 
-  std::optional<ExecutorKind> engine;
-  if (!engine_name.empty()) {
-    engine = ParseExecutorKind(engine_name);
-    if (!engine) {
-      std::fprintf(stderr,
-                   "unknown --engine '%s' "
-                   "(sequential|sharded|stealing|threadpool|distributed)\n",
-                   engine_name.c_str());
-      return 2;
-    }
+  enum class Engine { kSequential, kThreadPool, kDistributed };
+  Engine engine = !journal_path.empty() || workers > 1 ? Engine::kThreadPool
+                                                       : Engine::kSequential;
+  if (engine_name == "sequential") {
+    engine = Engine::kSequential;
+  } else if (engine_name == "threadpool") {
+    engine = Engine::kThreadPool;
+  } else if (engine_name == "distributed") {
+    engine = Engine::kDistributed;
+  } else if (engine_name == "sharded" || engine_name == "stealing") {
+    std::fprintf(stderr,
+                 "--engine %s was removed: use --engine threadpool (or "
+                 "--engine distributed for process isolation)\n",
+                 engine_name.c_str());
+    return 2;
+  } else if (!engine_name.empty()) {
+    std::fprintf(stderr,
+                 "unknown --engine '%s' (sequential|threadpool|distributed)\n",
+                 engine_name.c_str());
+    return 2;
   }
   if ((agents > 0 || agent_threads != 1 || !listen_address.empty() ||
        pipeline_depth > 0 || !agent_cache_dir.empty()) &&
-      (!engine || *engine != ExecutorKind::kDistributed)) {
+      engine != Engine::kDistributed) {
     std::fprintf(stderr,
                  "--agents/--agent-threads/--listen/--pipeline-depth/"
                  "--agent-cache-dir require --engine distributed\n");
+    return 2;
+  }
+  if (engine == Engine::kSequential && (!journal_path.empty() || workers > 1)) {
+    std::fprintf(stderr,
+                 "--journal and --workers N>1 need --engine threadpool or "
+                 "distributed\n");
+    return 2;
+  }
+  if (!cache_file.empty() && engine != Engine::kSequential) {
+    std::fprintf(stderr, "--cache-file works with the sequential engine only\n");
     return 2;
   }
 
@@ -290,45 +308,32 @@ int main(int argc, char** argv) {
 
   CampaignReport report;
   try {
-  if (engine) {
-    // Explicit backend selection: every backend implements CampaignExecutor,
-    // so the driver hands over one ExecutorOptions and lets the backend
-    // throw on anything it cannot honor (e.g. --journal on sequential)
-    // instead of silently dropping the flag.
-    ExecutorOptions exec;
-    exec.workers = workers < 1 ? 1 : workers;
-    exec.journal_path = journal_path;
-    exec.resume = resume;
-    exec.journal_sync_batch = journal_sync_batch;
-    if (*engine == ExecutorKind::kDistributed) {
-      // The distributed backend reads workers as the agent count; --agents
-      // overrides --workers when both are given.
-      if (agents > 0) {
-        exec.workers = agents;
-      }
-      exec.agent_threads = agent_threads < 1 ? 1 : agent_threads;
-      exec.pipeline_depth = pipeline_depth;  // 0 = backend default
-      exec.agent_cache_dir = agent_cache_dir;
-      exec.listen_address = listen_address;
-      // A --listen coordinator serves remote --connect agents; without it
-      // the backend forks the whole fleet locally.
-      exec.spawn_agents = listen_address.empty();
+  if (engine == Engine::kThreadPool) {
+    // At one worker the pool runs one thread and stays bitwise-identical to
+    // the sequential engine, so journaled runs cost nothing extra there.
+    ThreadPoolCampaignOptions pool;
+    pool.workers = workers < 1 ? 1 : workers;
+    pool.journal_path = journal_path;
+    pool.resume = resume;
+    pool.journal_sync_batch = journal_sync_batch;
+    report = RunThreadPoolCampaign(FullSchema(), FullCorpus(), options, pool);
+  } else if (engine == Engine::kDistributed) {
+    DistributedCampaignOptions fabric;
+    // --agents overrides --workers when both are given.
+    fabric.agents = agents > 0 ? agents : (workers < 1 ? 1 : workers);
+    fabric.agent_threads = agent_threads < 1 ? 1 : agent_threads;
+    if (pipeline_depth > 0) {
+      fabric.pipeline_depth = pipeline_depth;
     }
-    report = MakeExecutor(*engine)->Run(FullSchema(), FullCorpus(), options,
-                                        exec);
-  } else if (!journal_path.empty()) {
-    // Journaling lives in the work-stealing scheduler; at --workers 1 it is
-    // bitwise-identical to the sequential campaign, so routing every
-    // journaled run through it costs nothing.
-    ParallelCampaignOptions parallel;
-    parallel.workers = workers < 1 ? 1 : workers;
-    parallel.journal_path = journal_path;
-    parallel.resume = resume;
-    parallel.journal_sync_batch = journal_sync_batch;
-    report = RunWorkStealingCampaign(FullSchema(), FullCorpus(), options,
-                                     parallel);
-  } else if (workers > 1) {
-    report = RunShardedCampaign(FullSchema(), FullCorpus(), options, workers);
+    fabric.agent_cache_dir = agent_cache_dir;
+    fabric.listen_address = listen_address;
+    // A --listen coordinator serves remote --connect agents; without it the
+    // fleet is forked locally.
+    fabric.spawn_agents = listen_address.empty();
+    fabric.journal_path = journal_path;
+    fabric.resume = resume;
+    fabric.journal_sync_batch = journal_sync_batch;
+    report = RunDistributedCampaign(FullSchema(), FullCorpus(), options, fabric);
   } else {
     Campaign campaign(FullSchema(), FullCorpus(), options);
     if (!cache_file.empty() && campaign.run_cache() != nullptr) {

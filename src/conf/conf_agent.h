@@ -22,10 +22,10 @@
 // Agent routing. The Configuration constructors must reach an agent without
 // being handed one, so resolution is ambient: ConfAgent::Current() returns
 // the agent installed on the calling thread (ScopedThreadConfAgent), falling
-// back to the process-wide singleton. The forked schedulers inherit the
-// singleton per process; the in-process thread-pool scheduler installs one
-// agent per worker thread, giving every worker the same isolation a fork
-// used to provide — sessions on different workers never share tables.
+// back to the process-wide singleton. Each thread-pool worker (in the
+// campaign process or in a fabric agent) installs its own agent, giving
+// every worker the isolation a separate process would — sessions on
+// different workers never share tables.
 // Outside an active session every hook is a no-op, so the mini-applications
 // remain usable as ordinary libraries.
 //
@@ -309,8 +309,8 @@ class ConfAgentSession {
 };
 
 // Installs a fresh agent as this thread's Current() for the scope — the
-// thread-pool scheduler's per-worker isolation (the in-process analog of the
-// address-space copy a forked worker used to get). Nesting restores the
+// thread-pool scheduler's per-worker isolation (the in-process analog of a
+// separate address space). Nesting restores the
 // previous agent on destruction. The agent must outlive every Configuration
 // object registered with it; worker threads guarantee this by construction
 // (all conf objects are created and destroyed inside unit-test bodies that

@@ -160,8 +160,8 @@ class ReadSurface {
 
 // The surface outlives the installation window; the installer retains
 // ownership. nullptr (the default) disables the equivalence layer. Like the
-// run cache and the duration collector, this is process-global state: unit
-// executions are serialized, and each forked scheduler worker owns its copy.
+// run cache and the duration collector, this is per-thread state: each
+// worker thread installs the surface of the unit it is executing.
 void SetGlobalReadSurface(const ReadSurface* surface);
 const ReadSurface* GlobalReadSurface();
 

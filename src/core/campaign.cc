@@ -461,8 +461,7 @@ UnitWorkResult Campaign::RunUnitDynamic(
   // Observational-equivalence layer: the pre-run's read surface canonicalizes
   // and trace-predicts every plan this unit's dynamic phase executes (see
   // plan_equiv.h). Installed for this unit only — the surface is the promise
-  // of *this* test's pre-run. Works identically in-process and inside a
-  // forked scheduler worker (process-global scoped state, like the cache).
+  // of *this* test's pre-run (thread-scoped state, like the cache).
   ReadSurface surface(session);
   ScopedReadSurface scoped_surface(
       options_.enable_equiv_cache && surface.usable() ? &surface : nullptr);

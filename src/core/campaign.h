@@ -14,10 +14,10 @@
 // that point; CampaignFolder merges unit results in the canonical order
 // (options.apps order, then corpus registration order) and owns all
 // cross-unit state (findings, the frequent-failure rule, Table-5 counters,
-// runs_to_first_detection). Campaign::Run is the sequential fold; the
-// parallel scheduler (core/parallel_scheduler.h) is the same fold fed by a
-// work-stealing worker pool — which is why its results are bitwise-identical
-// to the sequential run at every worker count.
+// runs_to_first_detection). Campaign::Run is the sequential fold; the thread
+// pool and the distributed fabric run the same fold through one
+// FoldCoordinator (core/fold_coordinator.h) — which is why their results are
+// bitwise-identical to the sequential run at every worker count.
 
 #ifndef SRC_CORE_CAMPAIGN_H_
 #define SRC_CORE_CAMPAIGN_H_

@@ -307,9 +307,8 @@ int RunCampaignAgent(const ConfSchema& schema, const UnitTestRegistry& corpus,
       try {
         unit = engine.RunUnit(test, unsafe);
       } catch (const std::exception& e) {
-        // In-agent analog of a dead forked worker: take the whole agent down
-        // so the coordinator's requeue path recovers the lease. One bad unit
-        // costing a whole agent is the forked scheduler's economics too.
+        // An escaped exception takes the whole agent down so the
+        // coordinator's requeue path recovers the lease.
         ZLOG_WARN << "campaign agent " << agent.agent_index << ": unit "
                   << test.id << " failed (" << e.what() << ")";
         std::_Exit(14);

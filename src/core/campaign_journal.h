@@ -2,16 +2,16 @@
 //
 // A campaign over tens of thousands of unit-test executions runs for days; a
 // parent crash (OOM kill, machine reboot, operator SIGKILL) must not lose the
-// completed work. The work-stealing scheduler appends every unit result to
-// this journal *in canonical fold order, at the moment it folds* — so at any
-// instant the journal holds exactly the fold prefix, and a resumed campaign
-// replays it through the same CampaignFolder before dispatching the remaining
+// completed work. The FoldCoordinator (fold_coordinator.h) appends every
+// unit result to this journal *in canonical fold order, as it folds* — so
+// the journal holds exactly the fold prefix, and a resumed campaign replays
+// it through the same CampaignFolder before dispatching the remaining
 // units. Replay and re-execution go through one code path (the canonical
 // fold), which is why a resumed campaign's findings, Table-5 stage counts,
 // and runs_to_first_detection are bitwise-identical to an uninterrupted one.
 //
 // File format (record framing from worker_ipc, payloads from report_io —
-// the exact bytes the scheduler's response frames carry):
+// the exact bytes the fabric's result records carry):
 //
 //   frame 0:  "zebra-journal-v1\n<campaign fingerprint>"
 //   frame k:  "<fnv64 hex of body>\n<body>"   body = SerializeUnitResult(...)
@@ -63,7 +63,7 @@ class CampaignJournal {
   CampaignJournal& operator=(const CampaignJournal&) = delete;
 
   // Unit results recovered from a resumed journal, in fold order. The
-  // scheduler replays records while they match the canonical cursor and
+  // coordinator replays records while they match the canonical cursor and
   // ignores the rest (a record out of canonical order means the file was
   // tampered with beyond what checksums can repair).
   const std::vector<std::pair<size_t, UnitWorkResult>>& recovered() const {
@@ -78,7 +78,7 @@ class CampaignJournal {
   bool Append(size_t unit_index, const UnitWorkResult& unit);
 
   // Syncs any batched-but-unsynced records. Called by the destructor; the
-  // schedulers also call it at campaign end so a clean exit never leaves an
+  // coordinator also calls it at campaign end so a clean exit never leaves an
   // unsynced tail regardless of policy.
   void Flush();
 

@@ -9,10 +9,8 @@
 #endif
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -24,7 +22,6 @@
 #include "src/conf/conf_agent.h"
 #include "src/common/strings.h"
 #include "src/core/campaign_agent.h"
-#include "src/core/campaign_journal.h"
 #include "src/core/fabric_wire.h"
 #include "src/core/report_io.h"
 #include "src/core/watchdog.h"
@@ -34,16 +31,12 @@ namespace zebra {
 
 namespace {
 
-struct WorkUnit {
-  size_t app_index = 0;
-  const UnitTestDef* test = nullptr;
-};
-
 // One unit of in-flight ownership. The lease — not the connection, not the
 // agent — is what folding waits on; everything the requeue path needs to
 // redo the work travels with it.
 struct Lease {
   int attempt = 0;
+  uint64_t sequence = 0;  // dispatch order across the whole campaign
   double dispatch_seconds = 0.0;
   double deadline_seconds = 0.0;  // watchdog budget (0 = no deadline)
 };
@@ -99,19 +92,30 @@ struct Fleet {
   }
 };
 
-double NowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-int64_t ParseStatLine(const std::string& line, const char* key) {
-  std::string prefix = std::string(key) + "=";
-  if (line.rfind(prefix, 0) != 0) {
-    return -1;
+// Adds an agent's kStats farewell ("key=value" lines) to the cache totals.
+void AddFarewellStats(const std::string& payload, RunCache::Stats* totals) {
+  const std::pair<const char*, int64_t*> fields[] = {
+      {"cache_hits", &totals->hits},
+      {"cache_misses", &totals->misses},
+      {"equiv_hits", &totals->equiv_hits},
+      {"canonicalized_plans", &totals->canonicalized_plans},
+      {"mispredictions", &totals->mispredictions},
+      {"cache_evictions", &totals->evictions},
+      {"cache_load_failures", &totals->load_failures},
+  };
+  for (const std::string& line : StrSplit(payload, '\n')) {
+    size_t equals = line.find('=');
+    int64_t value = 0;
+    if (equals == std::string::npos ||
+        !ParseInt64(line.substr(equals + 1), &value) || value < 0) {
+      continue;
+    }
+    for (const auto& [key, total] : fields) {
+      if (line.compare(0, equals, key) == 0) {
+        *total += value;
+      }
+    }
   }
-  int64_t value = 0;
-  return ParseInt64(line.substr(prefix.size()), &value) ? value : -1;
 }
 
 }  // namespace
@@ -125,79 +129,19 @@ CampaignReport RunDistributedCampaign(
   if (fabric.pipeline_depth < 1) {
     throw Error("distributed campaign requires pipeline_depth >= 1");
   }
-  auto start = std::chrono::steady_clock::now();
+  FoldCoordinator coordinator(schema, corpus, std::move(options), fabric,
+                              "distributed campaign");
+  const CampaignOptions& resolved = coordinator.options();
+  const std::vector<WorkUnit>& units = coordinator.units();
+  const std::string schema_hash = FabricSchemaHash(schema, corpus, resolved);
+  const size_t remaining = coordinator.remaining();
 
-  // Coordinator-side engine: canonical app order and enumeration-stage
-  // counts only; no unit executes in this process.
-  Campaign engine(schema, corpus, std::move(options));
-  const std::vector<std::string>& apps = engine.options().apps;
-  const CampaignOptions& resolved = engine.options();
-  const std::string schema_hash =
-      HashToHex(HashFnv64(CampaignJournal::Fingerprint(resolved, corpus)));
-
-  std::vector<WorkUnit> units;
-  std::vector<int> units_per_app(apps.size(), 0);
-  for (size_t app_index = 0; app_index < apps.size(); ++app_index) {
-    for (const UnitTestDef* test : corpus.ForApp(apps[app_index])) {
-      units.push_back(WorkUnit{app_index, test});
-      ++units_per_app[app_index];
-    }
-  }
-
-  CampaignFolder folder(schema, resolved);
-  size_t apps_begun = 0;
-  auto begin_apps_through = [&](size_t app_index_exclusive) {
-    while (apps_begun < app_index_exclusive) {
-      const std::string& app = apps[apps_begun];
-      folder.BeginApp(app, engine.generator().OriginalInstanceCount(app),
-                      engine.generator().StaticPrunedInstanceCount(app),
-                      units_per_app[apps_begun]);
-      ++apps_begun;
-    }
-  };
-
-  size_t cursor = 0;
   int64_t hung_workers = 0;
-  int64_t requeued_units = 0;
-  int64_t resumed_units = 0;
   int64_t agent_disconnects = 0;
   int64_t expired_leases = 0;
   int64_t duplicate_results = 0;
-
-  // Journal replay before the fleet exists, so the remaining dispatch is
-  // exactly the uninterrupted campaign's suffix (same shape as the
-  // single-box schedulers; replay and live results share one fold).
-  std::unique_ptr<CampaignJournal> journal;
-  if (!fabric.journal_path.empty()) {
-    journal = std::make_unique<CampaignJournal>(
-        fabric.journal_path, CampaignJournal::Fingerprint(resolved, corpus),
-        fabric.resume, CampaignJournal::SyncPolicy{fabric.journal_sync_batch});
-    for (const auto& [index, unit] : journal->recovered()) {
-      if (index != cursor || cursor >= units.size()) {
-        ZLOG_WARN << "campaign journal: record out of canonical order; "
-                     "ignoring the rest of the recovered prefix";
-        break;
-      }
-      begin_apps_through(units[cursor].app_index + 1);
-      folder.Fold(unit);
-      ++cursor;
-      ++resumed_units;
-    }
-    if (resumed_units > 0) {
-      ZLOG_INFO << "campaign journal: resumed " << resumed_units << " of "
-                << units.size() << " units from " << fabric.journal_path;
-    }
-  }
-
-  size_t remaining = units.size() - cursor;
-  bool stopped = false;  // abort_after_folds hook or cancel_flag
-  std::set<size_t> poisoned;
-
-  // Per-agent cache stats summed from kStats farewells (shared-cache mode
-  // skips per-unit deltas, exactly like the thread-pool scheduler).
-  int64_t cache_hits = 0, cache_misses = 0, equiv_hits = 0;
-  int64_t canonicalized_plans = 0, mispredictions = 0, cache_evictions = 0;
-  int64_t cache_load_failures = 0;
+  // Cache totals summed from the agents' kStats farewells.
+  RunCache::Stats cache_totals;
 
   ScopedIgnoreSigPipe sigpipe_guard;
   Fleet fleet;
@@ -258,10 +202,10 @@ CampaignReport RunDistributedCampaign(
     }
 
     // ---- Handshake: assemble the fleet --------------------------------------
-    double handshake_deadline = NowSeconds() + fabric.handshake_timeout_seconds;
+    double handshake_deadline = SteadySeconds() + fabric.handshake_timeout_seconds;
     std::set<int> seen_indices;
     while (static_cast<int>(fleet.agents.size()) < agent_count) {
-      double left = handshake_deadline - NowSeconds();
+      double left = handshake_deadline - SteadySeconds();
       if (left <= 0) {
         throw Error("distributed campaign: only " +
                     Int64ToString(static_cast<int64_t>(fleet.agents.size())) +
@@ -340,7 +284,7 @@ CampaignReport RunDistributedCampaign(
       conn.fd = fd;
       conn.index = static_cast<int>(index);
       conn.threads = static_cast<int>(threads);
-      conn.last_heartbeat = NowSeconds();
+      conn.last_heartbeat = SteadySeconds();
       conn.alive = true;
       if (fabric.spawn_agents && index >= 0 &&
           static_cast<size_t>(index) < fleet.spawned.size()) {
@@ -355,36 +299,22 @@ CampaignReport RunDistributedCampaign(
 
     // ---- Dispatch / fold loop -----------------------------------------------
 
-    std::deque<size_t> queue;
-    for (size_t i = cursor; i < units.size(); ++i) {
-      queue.push_back(i);
-    }
-
-    // Every result arrives stamped with the epoch of the snapshot it
-    // actually executed under (the agent reads the freshest applied set at
-    // execution start, not at dispatch); staleness is judged against that
-    // epoch's set, looked up in epoch_sets below.
-    struct BufferedResult {
-      UnitWorkResult unit;
-      int64_t epoch = 0;
-    };
-    std::map<size_t, BufferedResult> buffered;
-
     // Snapshot delta state. The coordinator-side epoch ticks whenever the
     // globally-unsafe set changes (it only ever grows today, but the delta
     // encoding carries removals too); each AgentConn remembers the epoch it
     // last successfully sent, so steady-state dispatches carry a few bytes
-    // of delta instead of the whole set. epoch_sets keeps every epoch's set
-    // for the staleness check — one entry per distinct set the campaign ever
-    // produced, never pruned (bounded by the number of unsafe params found).
+    // of delta instead of the whole set. Every result arrives stamped with
+    // the epoch of the snapshot it actually executed under (the agent reads
+    // the freshest applied set at execution start, not at dispatch), and is
+    // buffered with that epoch's set from epoch_sets — one entry per
+    // distinct set the campaign ever produced, never pruned (bounded by the
+    // number of unsafe params found).
     int64_t coord_epoch = 0;
     std::set<std::string> coord_set;
     std::map<int64_t, std::set<std::string>> epoch_sets;
     epoch_sets[0] = {};
-    std::vector<int> attempts(units.size(), 0);
-    std::vector<double> not_before(units.size(), 0.0);
     std::vector<double> completion_seconds;
-    int live_folds = 0;
+    uint64_t next_sequence = 0;
 
     auto alive_agents = [&]() {
       int alive = 0;
@@ -394,44 +324,33 @@ CampaignReport RunDistributedCampaign(
       return alive;
     };
 
-    // Requeue one expired lease through the PR 4 policy: bump the attempt,
-    // quarantine past the limit, otherwise back off and head-queue.
-    auto requeue_lease = [&](size_t unit_index) {
-      ++expired_leases;
-      ++attempts[unit_index];
-      if (attempts[unit_index] >= resolved.unit_attempt_limit) {
-        ZLOG_WARN << "distributed campaign: unit "
-                  << units[unit_index].test->id << " failed "
-                  << attempts[unit_index]
-                  << " attempts; quarantining as poisoned";
-        poisoned.insert(unit_index);
-        return;
-      }
-      double backoff = std::min(resolved.requeue_backoff_cap_seconds,
-                                resolved.requeue_backoff_seconds *
-                                    std::pow(2.0, attempts[unit_index] - 1));
-      not_before[unit_index] = NowSeconds() + std::max(0.0, backoff);
-      queue.push_front(unit_index);
-      ++requeued_units;
-    };
-
     // Retiring an agent is all-or-nothing: every lease it held expires, the
     // connection closes, and a spawned process is SIGKILLed (it may be
     // merely silent, not dead — a kill on an already-dead pid is free) and
-    // reaped so nothing zombies.
-    auto retire_agent = [&](AgentConn& agent, const char* reason) {
+    // reaped so nothing zombies. `hung` (a watchdog retirement) charges only
+    // the leases that can be running: the agent's first `threads` in
+    // dispatch order, since it runs its queue FIFO and reports each result
+    // as it finishes. Any other cause charges them all.
+    auto retire_agent = [&](AgentConn& agent, const char* reason,
+                            bool hung = false) {
       ++agent_disconnects;
-      std::vector<size_t> held;
+      std::vector<std::pair<uint64_t, size_t>> held;  // (sequence, unit)
       for (const auto& [unit_index, lease] : agent.leases) {
-        held.push_back(unit_index);
+        held.emplace_back(lease.sequence, unit_index);
       }
       agent.leases.clear();
-      // Descending push_front keeps the expired wave in canonical order at
-      // the head of the queue (the fold waits on the smallest index).
-      std::sort(held.rbegin(), held.rend());
-      for (size_t unit_index : held) {
-        requeue_lease(unit_index);
+      std::sort(held.begin(), held.end());
+      expired_leases += static_cast<int64_t>(held.size());
+      const size_t charged =
+          hung ? std::min(held.size(), static_cast<size_t>(agent.threads))
+               : held.size();
+      std::vector<size_t> running;
+      std::vector<size_t> waiting;
+      for (size_t i = 0; i < held.size(); ++i) {
+        (i < charged ? running : waiting).push_back(held[i].second);
       }
+      coordinator.Requeue(std::move(waiting), /*charge=*/false);
+      coordinator.Requeue(std::move(running), /*charge=*/true);
       if (agent.fd >= 0) {
         ::close(agent.fd);
         agent.fd = -1;
@@ -446,99 +365,41 @@ CampaignReport RunDistributedCampaign(
                 << reason << ", " << alive_agents() << " remaining";
     };
 
-    auto is_stale = [&](const BufferedResult& result) {
-      // The epoch is guaranteed present: the read pass retires any agent
-      // that stamps a result with an epoch this coordinator never issued.
-      const std::set<std::string>& snapshot = epoch_sets.at(result.epoch);
-      for (const std::string& param : result.unit.params_tested) {
-        if (folder.globally_unsafe().count(param) > 0 &&
-            snapshot.count(param) == 0) {
-          return true;
-        }
-      }
-      return false;
-    };
-
-    // Local exact re-run for stale cursor units. When the fold reaches a
-    // buffered result whose stamped snapshot missed a now-unsafe parameter,
-    // the unit must re-run — but at the cursor the fold has already folded
-    // every predecessor, so folder.globally_unsafe() IS the exact set a
-    // sequential campaign would hand this unit. Re-running it right here,
-    // in-process, under that set is therefore final (never stale again) and
-    // skips the redispatch round-trip that would otherwise stall the fold —
-    // the dominant tax of speculative execution over a real wire. The
-    // engine is built lazily (most campaigns at depth 1 never need it) and
-    // uncached, so the folded cache counters stay zero as in every
-    // shared-cache scheduler (the agents' farewells own those totals).
+    // The fabric's remedy for a condemned result: re-run the unit right
+    // here once the fold reaches it. At the cursor the fold has folded every
+    // predecessor, so folder().globally_unsafe() IS the exact set a
+    // sequential campaign would hand this unit; the re-run is final (never
+    // condemned again) and skips the redispatch round-trip that would
+    // otherwise stall the fold. The engine is built lazily (most campaigns at
+    // depth 1 never need it) with the resolved options, so it keeps the
+    // campaign's cache setting: Campaign turns the run cache on whenever the
+    // equivalence layer is on, and then this engine has a private cache of
+    // its own. Its per-unit cache deltas fold into the report but are
+    // replaced by the agents' farewell totals whenever the cache is on.
     std::unique_ptr<ScopedThreadConfAgent> local_scope;
     std::unique_ptr<Campaign> local_engine;
     auto rerun_exact = [&](size_t unit_index) {
       if (!local_engine) {
-        CampaignOptions local_options = resolved;
-        local_options.enable_run_cache = false;
         local_scope = std::make_unique<ScopedThreadConfAgent>();
-        local_engine =
-            std::make_unique<Campaign>(schema, corpus, local_options);
+        local_engine = std::make_unique<Campaign>(schema, corpus, resolved);
       }
       return local_engine->RunUnit(*units[unit_index].test,
-                                   folder.globally_unsafe());
+                                   coordinator.folder().globally_unsafe());
     };
 
-    // Identical fold/staleness contract to the single-box dynamic
-    // schedulers — a stale buffered result never folds (staleness is
-    // monotone; see parallel_scheduler.cc for the full argument) — but the
-    // remedy differs: stale results stay buffered until the cursor reaches
-    // them and are then re-run locally under the exact fold-point set,
-    // instead of being re-queued to agents for another speculative (and
-    // possibly again-stale) round-trip.
     auto advance_fold = [&]() {
-      while (cursor < units.size()) {
-        if (poisoned.count(cursor) > 0) {
-          begin_apps_through(units[cursor].app_index + 1);
-          UnitWorkResult stub;
-          stub.app = apps[units[cursor].app_index];
-          stub.test_id = units[cursor].test->id;
-          folder.Fold(stub);
-          if (journal) {
-            journal->Append(cursor, stub);
-          }
-          ++cursor;
-          continue;
-        }
-        auto it = buffered.find(cursor);
-        if (it == buffered.end()) {
-          break;
-        }
-        if (is_stale(it->second)) {
-          ZLOG_INFO << "distributed campaign: re-running unit "
-                    << it->second.unit.test_id
-                    << " locally (stale globally-unsafe snapshot)";
-          it->second.unit = rerun_exact(cursor);
-        }
-        begin_apps_through(units[cursor].app_index + 1);
-        folder.Fold(it->second.unit);
-        if (journal) {
-          journal->Append(cursor, it->second.unit);
-        }
-        buffered.erase(it);
-        ++cursor;
-        ++live_folds;
-        if (fabric.abort_after_folds > 0 &&
-            live_folds >= fabric.abort_after_folds) {
-          stopped = true;  // simulated coordinator crash (test hook)
-          return;
-        }
+      while (coordinator.Advance()) {
+        const size_t cursor = coordinator.cursor();
+        ZLOG_INFO << "distributed campaign: re-running unit "
+                  << units[cursor].test->id
+                  << " locally (stale globally-unsafe snapshot)";
+        coordinator.Buffer(cursor, rerun_exact(cursor),
+                           coordinator.folder().globally_unsafe());
       }
+      coordinator.FlushJournal();
     };
 
-    while (cursor < units.size() && !stopped) {
-      if (resolved.cancel_flag != nullptr && *resolved.cancel_flag != 0) {
-        ZLOG_WARN << "distributed campaign: cancellation requested; stopping "
-                     "after "
-                  << cursor << " of " << units.size() << " units";
-        stopped = true;
-        break;
-      }
+    while (coordinator.Active()) {
       if (alive_agents() == 0) {
         throw Error("distributed campaign: all agents died");
       }
@@ -547,12 +408,12 @@ CampaignReport RunDistributedCampaign(
       // snapshot it last received and its workers read it at execution
       // start, so any epoch a result can carry names a set the coordinator
       // folded at some earlier point — always a subset of the current
-      // globally-unsafe set (the fold only grows it). That is exactly the
-      // validity class of the PR 9 per-lease snapshot; the staleness check
-      // in advance_fold re-runs anything that missed a param, so findings
-      // stay bitwise-identical while far fewer units *are* stale.
-      if (folder.globally_unsafe() != coord_set) {
-        coord_set = folder.globally_unsafe();
+      // globally-unsafe set (the fold only grows it). The coordinator's
+      // fold-point check condemns anything that missed a param and
+      // advance_fold re-runs it, so findings stay bitwise-identical while
+      // far fewer units *are* stale.
+      if (coordinator.folder().globally_unsafe() != coord_set) {
+        coord_set = coordinator.folder().globally_unsafe();
         ++coord_epoch;
         epoch_sets[coord_epoch] = coord_set;
       }
@@ -569,19 +430,11 @@ CampaignReport RunDistributedCampaign(
         }
         const int capacity = agent.threads * fabric.pipeline_depth;
         std::vector<size_t> picked;
+        size_t next = 0;
         while (static_cast<int>(agent.leases.size() + picked.size()) <
                    capacity &&
-               !queue.empty()) {
-          double t = NowSeconds();
-          auto next = queue.begin();
-          while (next != queue.end() && not_before[*next] > t) {
-            ++next;
-          }
-          if (next == queue.end()) {
-            break;  // every queued unit is backing off
-          }
-          picked.push_back(*next);
-          queue.erase(next);
+               coordinator.TakeNext(&next)) {
+          picked.push_back(next);
         }
         if (picked.empty() &&
             (agent.snap_epoch == coord_epoch || agent.leases.empty())) {
@@ -621,7 +474,7 @@ CampaignReport RunDistributedCampaign(
         }
         std::string batch;
         AppendBatchRecord(&batch, snapshot_record);
-        double t = NowSeconds();
+        double t = SteadySeconds();
         double deadline = WatchdogDeadlineSeconds(
             resolved.watchdog_floor_seconds, resolved.watchdog_multiplier,
             completion_seconds);
@@ -631,14 +484,15 @@ CampaignReport RunDistributedCampaign(
         // self-correcting; the scale protects the floor-dominated regime.)
         deadline *= fabric.pipeline_depth;
         for (size_t unit_index : picked) {
-          AppendBatchRecord(
-              &batch, Int64ToString(static_cast<int64_t>(unit_index)) + " " +
-                          Int64ToString(attempts[unit_index]));
           Lease lease;
-          lease.attempt = attempts[unit_index];
+          lease.attempt = coordinator.attempt(unit_index);
+          lease.sequence = next_sequence++;
           lease.dispatch_seconds = t;
           lease.deadline_seconds = deadline;
           agent.leases[unit_index] = lease;
+          AppendBatchRecord(
+              &batch, Int64ToString(static_cast<int64_t>(unit_index)) + " " +
+                          Int64ToString(lease.attempt));
         }
         if (!WriteFabricFrame(agent.fd, FabricMsg::kDispatchBatch, batch)) {
           // None of the leases took effect; retirement expires every one of
@@ -691,7 +545,7 @@ CampaignReport RunDistributedCampaign(
           continue;
         }
         if (type == FabricMsg::kHeartbeat) {
-          agent.last_heartbeat = NowSeconds();
+          agent.last_heartbeat = SteadySeconds();
           continue;
         }
         if (type == FabricMsg::kSnapshotNack) {
@@ -722,12 +576,8 @@ CampaignReport RunDistributedCampaign(
             refused.push_back(static_cast<size_t>(unit_index));
           }
           agent.snap_epoch = -1;
-          // Descending push_front keeps the refused wave in canonical order
-          // at the head of the queue, as in retirement.
-          std::sort(refused.rbegin(), refused.rend());
-          for (size_t unit_index : refused) {
-            requeue_lease(unit_index);
-          }
+          expired_leases += static_cast<int64_t>(refused.size());
+          coordinator.Requeue(std::move(refused), /*charge=*/true);
           continue;
         }
         if (type != FabricMsg::kResultBatch) {
@@ -778,18 +628,19 @@ CampaignReport RunDistributedCampaign(
             retire_agent(agent, "reported an unknown snapshot epoch");
             break;
           }
-          completion_seconds.push_back(NowSeconds() -
+          completion_seconds.push_back(SteadySeconds() -
                                        lease_it->second.dispatch_seconds);
-          buffered[parsed_index] = BufferedResult{std::move(unit), result_epoch};
+          coordinator.Buffer(parsed_index, std::move(unit),
+                             epoch_sets.at(result_epoch));
           agent.leases.erase(lease_it);
         }
       }
 
       // Watchdog: any lease past its deadline means a unit is stuck on a
       // live, heartbeating host (an in-agent hang blocks one worker thread,
-      // not the heartbeat thread) — the whole agent is retired, as the
-      // forked scheduler SIGKILLs a hung worker.
-      double now = NowSeconds();
+      // not the heartbeat thread) — the whole agent is SIGKILLed and
+      // retired.
+      double now = SteadySeconds();
       for (AgentConn& agent : fleet.agents) {
         if (!agent.alive) {
           continue;
@@ -808,7 +659,7 @@ CampaignReport RunDistributedCampaign(
         }
         if (hung) {
           ++hung_workers;
-          retire_agent(agent, "hung (watchdog)");
+          retire_agent(agent, "hung (watchdog)", /*hung=*/true);
           continue;
         }
         if (fabric.heartbeat_timeout_seconds > 0 &&
@@ -833,8 +684,8 @@ CampaignReport RunDistributedCampaign(
         continue;
       }
       bool got_farewell = false;
-      double drain_deadline = NowSeconds() + 10.0;
-      while (NowSeconds() < drain_deadline) {
+      double drain_deadline = SteadySeconds() + 10.0;
+      while (SteadySeconds() < drain_deadline) {
         struct pollfd pfd = {agent.fd, POLLIN, 0};
         int ready;
         do {
@@ -851,26 +702,7 @@ CampaignReport RunDistributedCampaign(
         if (type != FabricMsg::kStats) {
           continue;
         }
-        for (const std::string& line : StrSplit(payload, '\n')) {
-          int64_t value;
-          if ((value = ParseStatLine(line, "cache_hits")) >= 0) {
-            cache_hits += value;
-          } else if ((value = ParseStatLine(line, "cache_misses")) >= 0) {
-            cache_misses += value;
-          } else if ((value = ParseStatLine(line, "equiv_hits")) >= 0) {
-            equiv_hits += value;
-          } else if ((value = ParseStatLine(line, "canonicalized_plans")) >=
-                     0) {
-            canonicalized_plans += value;
-          } else if ((value = ParseStatLine(line, "mispredictions")) >= 0) {
-            mispredictions += value;
-          } else if ((value = ParseStatLine(line, "cache_evictions")) >= 0) {
-            cache_evictions += value;
-          } else if ((value = ParseStatLine(line, "cache_load_failures")) >=
-                     0) {
-            cache_load_failures += value;
-          }
-        }
+        AddFarewellStats(payload, &cache_totals);
         got_farewell = true;
         break;
       }
@@ -889,41 +721,14 @@ CampaignReport RunDistributedCampaign(
     }
   }
 
-  if (!stopped) {
-    // Apps with zero units (or nothing at all to run) still appear in the
-    // report with their enumeration-stage counts, as in the sequential run.
-    begin_apps_through(apps.size());
-  }
-
-  folder.report().hung_workers = hung_workers;
-  folder.report().requeued_units = requeued_units;
-  folder.report().resumed_units = resumed_units;
-  folder.report().agent_disconnects = agent_disconnects;
-  folder.report().expired_leases = expired_leases;
-  folder.report().duplicate_results = duplicate_results;
-  if (journal) {
-    journal->Flush();
-    folder.report().journal_append_failures = journal->append_failures();
-  }
-  for (size_t unit_index : poisoned) {
-    folder.report().poisoned_units.push_back(units[unit_index].test->id);
-  }
-  if (resolved.enable_run_cache) {
-    // Shared-cache mode skips per-unit deltas, so the folded counters are
-    // zero; fill totals from the agents' farewells. Agents that died before
-    // shutdown never reported — accounting, not a determinism surface.
-    folder.report().cache_hits = cache_hits;
-    folder.report().cache_misses = cache_misses;
-    folder.report().equiv_hits = equiv_hits;
-    folder.report().canonicalized_plans = canonicalized_plans;
-    folder.report().mispredictions = mispredictions;
-    folder.report().cache_evictions = cache_evictions;
-    folder.report().cache_load_failures = cache_load_failures;
-  }
-  folder.report().wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return folder.Finish();
+  coordinator.report().hung_workers = hung_workers;
+  coordinator.report().agent_disconnects = agent_disconnects;
+  coordinator.report().expired_leases = expired_leases;
+  coordinator.report().duplicate_results = duplicate_results;
+  // Agents that died before shutdown never said goodbye: their cache
+  // activity is missing from the totals, which are accounting only.
+  return coordinator.Finish(resolved.enable_run_cache ? &cache_totals
+                                                      : nullptr);
 }
 
 }  // namespace zebra

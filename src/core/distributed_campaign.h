@@ -16,8 +16,7 @@
 // its workers from idling between frames. A lease ends exactly one of
 // these ways:
 //   * a kResultBatch record with the matching (unit, attempt): the result
-//     is buffered for canonical folding (speculative-snapshot staleness
-//     rules unchanged from the single-box schedulers).
+//     is buffered for canonical folding.
 //   * a kSnapshotNack record with the matching (unit, attempt): the agent
 //     refused to run it (epoch mismatch — it could not prove its
 //     globally-unsafe set current). The unit re-enters the queue through
@@ -27,7 +26,12 @@
 //     silence past heartbeat_timeout_seconds, or any lease past its
 //     watchdog deadline (a hung unit on a live, heartbeating host). Every
 //     lease the agent held expires (++expired_leases) and re-enters the
-//     queue through the PR 4 attempt/backoff/quarantine policy.
+//     queue. A watchdog retirement charges an attempt (backoff, quarantine at
+//     unit_attempt_limit) only to the agent's first `threads` leases in
+//     dispatch order: the agent runs its queue in FIFO order and reports each
+//     result as soon as it finishes, so only those can be running; the rest
+//     go back uncharged. Any other retirement charges every lease, since the
+//     coordinator cannot tell which one brought the host down.
 //   * A result record that matches no live lease — the duplicate a
 //     reassigned or re-sent unit can produce — is dropped idempotently
 //     (++duplicate_results). Folding is driven only by live leases, so a
@@ -36,12 +40,16 @@
 // per-lease surgical recovery on a half-broken connection is exactly the
 // "partially trusted peer" state the wire protocol refuses to have.
 //
-// Determinism. The fold is the same CampaignFolder in the same canonical
-// order with the same staleness rule as every other backend, and journal/
-// resume appends at fold time exactly as the single-box schedulers do — so
-// findings, Table-5 stats, and runs_to_first_detection are bitwise-identical
-// to `Campaign(...).Run()` at every fleet shape, under every injected
-// network fault, and across a coordinator restart (CI-gated).
+// Determinism. The fold is the shared FoldCoordinator (fold_coordinator.h):
+// the same CampaignFolder in the same canonical order with the same
+// fold-point check and journal/resume contract as the thread pool. A result
+// runs under the snapshot of the epoch its agent held at execution start, a
+// copy of the folded prefix; when the fold reaches a result the check
+// condemns, the coordinator re-runs that unit itself under the exact set.
+// Findings, Table-5 stats, and runs_to_first_detection are
+// bitwise-identical to `Campaign(...).Run()` at every fleet shape, under
+// every injected network fault, and across a coordinator restart
+// (CI-gated).
 
 #ifndef SRC_CORE_DISTRIBUTED_CAMPAIGN_H_
 #define SRC_CORE_DISTRIBUTED_CAMPAIGN_H_
@@ -51,10 +59,12 @@
 
 #include "src/core/campaign.h"
 #include "src/core/fault_injection.h"
+#include "src/core/fold_coordinator.h"
 
 namespace zebra {
 
-struct DistributedCampaignOptions {
+// Journal/resume and the abort hook come from FoldOptions.
+struct DistributedCampaignOptions : FoldOptions {
   // Fleet shape: agents x agent_threads concurrent units.
   int agents = 1;
   int agent_threads = 1;
@@ -98,16 +108,6 @@ struct DistributedCampaignOptions {
   // Requires CampaignOptions::enable_run_cache; repeat campaigns over the
   // same schema/corpus then start warm (campaign_agent.h, "Warm starts").
   std::string agent_cache_dir;
-
-  // Crash-safe journal + resume, same contract as the single-box dynamic
-  // schedulers: append at fold time, replay the valid prefix on resume.
-  std::string journal_path;
-  bool resume = false;
-  int journal_sync_batch = 1;
-
-  // Test hook simulating a coordinator crash: stop dispatching and return
-  // after this many *live* folds (journal replay does not count).
-  int abort_after_folds = 0;
 };
 
 // Runs the campaign over the fabric. Throws Error when the fleet cannot be

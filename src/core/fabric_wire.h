@@ -2,7 +2,7 @@
 // campaign coordinator (distributed_campaign.h) and its per-host agents
 // (campaign_agent.h).
 //
-// This generalizes the worker_ipc pipe framing for a transport that can
+// This generalizes the worker_ipc record framing for a transport that can
 // garble as well as die. A pipe between a parent and its forked child either
 // delivers bytes in order or EOFs; a TCP connection across a fleet can
 // additionally deliver corrupted application state after a half-close, a

@@ -2,15 +2,19 @@
 //
 // The paper's real campaigns survive on container-level isolation: a test
 // that crashes, hangs, or corrupts its output takes down one container, not
-// the campaign (§4, §7). Our runners reproduce that with process isolation —
-// and this header is how the recovery paths are *tested* rather than trusted
-// on inspection. A FaultPlan injects faults at chosen (worker, unit, attempt)
-// coordinates inside scheduler workers:
+// the campaign (§4, §7). The distributed fabric reproduces that with process
+// isolation — and this header is how the recovery paths are *tested* rather
+// than trusted on inspection. A FaultPlan injects faults at chosen (worker,
+// unit, attempt) coordinates inside fabric agents (the worker coordinate is
+// the agent index):
 //
-//   kCrash        worker _Exits instead of executing the unit
-//   kHang         worker blocks forever (exercises the watchdog deadline)
-//   kGarbledFrame worker writes a corrupt response frame, then exits
-//   kSlowWorker   worker sleeps `slow_seconds` before executing normally
+//   kCrash        the agent _Exits instead of executing the unit
+//   kHang         a worker thread blocks forever (exercises the watchdog)
+//   kGarbledFrame the agent writes a corrupt frame, then exits
+//   kSlowWorker   the worker sleeps `slow_seconds` before executing normally
+//
+// The thread pool maps each kind onto worker threads instead (see
+// thread_pool_scheduler.h).
 //
 // Plans are deterministic two ways: explicit specs pin exact coordinates, and
 // the seeded random mode derives each coin flip from a stable hash of
@@ -43,8 +47,7 @@ enum class FaultKind {
 struct FaultSpec {
   FaultKind kind = FaultKind::kCrash;
   std::string test_id;        // unit-test id, empty = any
-  int worker = -1;            // worker index (shard index for the sharded
-                              // runner), -1 = any
+  int worker = -1;            // worker thread or agent index, -1 = any
   int attempt = 0;            // 0-based dispatch attempt, -1 = any
   double slow_seconds = 0.1;  // kSlowWorker only: pre-execution sleep
 };
@@ -71,8 +74,7 @@ struct FaultPlan {
   bool Decide(int worker, const std::string& test_id, int attempt,
               FaultSpec* out) const;
 
-  // Decide() restricted to one kind (the sharded runner checks kinds at
-  // different points of the shard lifecycle).
+  // Decide() restricted to one kind.
   bool DecideKind(FaultKind kind, int worker, const std::string& test_id,
                   int attempt, FaultSpec* out) const;
 };

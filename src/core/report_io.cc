@@ -1,6 +1,5 @@
 #include "src/core/report_io.h"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "src/common/error.h"
@@ -222,9 +221,8 @@ std::string SerializeReport(const CampaignReport& report) {
     params.push_back(param);
     std::string prefix = "finding." + param + ".";
     properties[prefix + "app"] = finding.owning_app;
-    // Full precision, like the unit-result wire format: the sharded merge
-    // path round-trips findings through this serialization, and the
-    // cross-backend determinism contract compares p-values bitwise.
+    // Full precision, like the unit-result wire format: the cross-backend
+    // determinism contract compares serialized p-values bitwise.
     properties[prefix + "p_value"] = Double17(finding.best_p_value);
     properties[prefix + "witnesses"] =
         StrJoin(std::vector<std::string>(finding.witness_tests.begin(),
@@ -389,89 +387,6 @@ CampaignReport DeserializeReport(const std::string& text) {
         run_seconds_total / static_cast<double>(run_count));
   }
   return report;
-}
-
-CampaignReport MergeReports(const std::vector<CampaignReport>& reports) {
-  CampaignReport merged;
-
-  // Canonical shard order: rank shards by their smallest app name so the
-  // merge is independent of arrival order. runs_to_first_detection then
-  // counts every execution of canonically-earlier shards plus the detecting
-  // shard's own count ("as if the shards ran back-to-back").
-  std::vector<const CampaignReport*> canonical;
-  canonical.reserve(reports.size());
-  for (const CampaignReport& report : reports) {
-    canonical.push_back(&report);
-  }
-  auto min_app = [](const CampaignReport* report) {
-    return report->per_app.empty() ? std::string() : report->per_app.begin()->first;
-  };
-  std::stable_sort(canonical.begin(), canonical.end(),
-                   [&](const CampaignReport* a, const CampaignReport* b) {
-                     return min_app(a) < min_app(b);
-                   });
-  int64_t executed_before = 0;
-  for (const CampaignReport* report : canonical) {
-    if (merged.runs_to_first_detection == 0 && report->runs_to_first_detection > 0) {
-      merged.runs_to_first_detection =
-          executed_before + report->runs_to_first_detection;
-      merged.first_detection_param = report->first_detection_param;
-    }
-    executed_before += report->TotalExecuted();
-  }
-
-  for (const CampaignReport& report : reports) {
-    for (const auto& [app, counts] : report.per_app) {
-      if (merged.per_app.count(app) > 0) {
-        throw Error("MergeReports: application " + app + " appears in two shards");
-      }
-      merged.per_app[app] = counts;
-    }
-    for (const auto& [param, finding] : report.findings) {
-      ParamFinding& target = merged.findings[param];
-      if (target.param.empty()) {
-        target = finding;
-      } else {
-        target.witness_tests.insert(finding.witness_tests.begin(),
-                                    finding.witness_tests.end());
-        target.best_p_value = std::min(target.best_p_value, finding.best_p_value);
-        if (target.example_failure.empty()) {
-          target.example_failure = finding.example_failure;
-        }
-      }
-    }
-    merged.first_trial_candidates += report.first_trial_candidates;
-    merged.filtered_by_hypothesis += report.filtered_by_hypothesis;
-    merged.total_unit_test_runs += report.total_unit_test_runs;
-    merged.cache_hits += report.cache_hits;
-    merged.cache_misses += report.cache_misses;
-    merged.equiv_hits += report.equiv_hits;
-    merged.canonicalized_plans += report.canonicalized_plans;
-    merged.mispredictions += report.mispredictions;
-    merged.cache_evictions += report.cache_evictions;
-    merged.coupling_runs += report.coupling_runs;
-    merged.coupling_confirmations += report.coupling_confirmations;
-    merged.units_skipped += report.units_skipped;
-    merged.hung_workers += report.hung_workers;
-    merged.requeued_units += report.requeued_units;
-    merged.resumed_units += report.resumed_units;
-    merged.cache_load_failures += report.cache_load_failures;
-    merged.journal_append_failures += report.journal_append_failures;
-    merged.agent_disconnects += report.agent_disconnects;
-    merged.expired_leases += report.expired_leases;
-    merged.duplicate_results += report.duplicate_results;
-    merged.poisoned_units.insert(merged.poisoned_units.end(),
-                                 report.poisoned_units.begin(),
-                                 report.poisoned_units.end());
-    merged.wall_seconds = std::max(merged.wall_seconds, report.wall_seconds);
-    merged.run_durations_seconds.insert(merged.run_durations_seconds.end(),
-                                        report.run_durations_seconds.begin(),
-                                        report.run_durations_seconds.end());
-    for (const auto& [app, sharing] : report.sharing) {
-      merged.sharing[app] = sharing;
-    }
-  }
-  return merged;
 }
 
 }  // namespace zebra

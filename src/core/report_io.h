@@ -1,12 +1,10 @@
 // Report serialization: persist campaign results (the findings knowledge
-// base and stage counts) as properties text, reload them later, and merge
-// reports produced by parallel workers.
+// base and stage counts) as properties text and reload them later.
 
 #ifndef SRC_CORE_REPORT_IO_H_
 #define SRC_CORE_REPORT_IO_H_
 
 #include <string>
-#include <vector>
 
 #include "src/core/campaign.h"
 
@@ -22,32 +20,18 @@ std::string SerializeReport(const CampaignReport& report);
 // Fields absent from older serializations default to zero/empty.
 CampaignReport DeserializeReport(const std::string& text);
 
-// Merges reports from disjoint application shards: per-app counts, sharing
-// stats, and findings are unioned (same-param findings merge witnesses and
-// keep the best p-value), counters are summed.
-//
-// runs_to_first_detection merges deterministically regardless of the order
-// the shard reports arrive in: shards are ranked by their smallest app name
-// (the canonical shard order), and the merged value counts every execution
-// of canonically-earlier shards plus the detecting shard's own count — i.e.
-// "as if the shards had run back-to-back in canonical order". The
-// work-stealing scheduler (parallel_scheduler.h) does not use this
-// approximation; it folds per-unit results and reproduces the sequential
-// value exactly.
-CampaignReport MergeReports(const std::vector<CampaignReport>& reports);
-
 // Newline/backslash escaping for multi-line values (failure messages)
-// embedded in single-line properties values. Shared with the scheduler's
-// worker wire format.
+// embedded in single-line properties values. Shared with the unit-result
+// format below.
 std::string EscapeReportText(const std::string& text);
 std::string UnescapeReportText(const std::string& text);
 
 // One work unit's full contribution as properties text — the payload of the
-// work-stealing scheduler's response frames and of campaign-journal records
-// (both must fold to bitwise-identical reports, so they share one format).
-// Doubles round-trip at full precision ("%.17g"); ParseUnitResult returns
-// false on malformed input, which the scheduler treats as a dead worker and
-// the journal as a torn tail.
+// fabric's result records and of campaign-journal records (both must fold to
+// bitwise-identical reports, so they share one format). Doubles round-trip
+// at full precision ("%.17g"); ParseUnitResult returns false on malformed
+// input, which the fabric coordinator treats as a broken agent and the
+// journal as a torn tail.
 std::string SerializeUnitResult(size_t unit_index, const UnitWorkResult& unit);
 bool ParseUnitResult(const std::string& text, size_t* unit_index,
                      UnitWorkResult* unit);

@@ -5,9 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -17,16 +15,10 @@
 
 #include "src/common/error.h"
 #include "src/common/logging.h"
-#include "src/core/campaign_journal.h"
 
 namespace zebra {
 
 namespace {
-
-struct WorkUnit {
-  size_t app_index = 0;
-  const UnitTestDef* test = nullptr;
-};
 
 // One pre-sized slot per unit: the lock-free delivery channel. A unit is
 // in flight on at most one worker at a time (the queue hands it out once,
@@ -41,12 +33,6 @@ struct ResultSlot {
   bool hang = false;               // kHang specifically (hung_workers count)
   std::atomic<bool> ready{false};
 };
-
-double NowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 }  // namespace
 
@@ -65,75 +51,18 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
   if (pool.workers < 1) {
     throw Error("thread-pool campaign requires at least one worker");
   }
-  auto start = std::chrono::steady_clock::now();
-
-  // Coordinator-side engine: resolves the canonical app order and supplies
-  // enumeration-stage counts, exactly as the forked schedulers' parent does.
-  // No unit-test executions happen on the coordinator thread.
-  Campaign coordinator_engine(schema, corpus, std::move(options));
-  const std::vector<std::string>& apps = coordinator_engine.options().apps;
-  const CampaignOptions& resolved = coordinator_engine.options();
-
-  std::vector<WorkUnit> units;
-  std::vector<int> units_per_app(apps.size(), 0);
-  for (size_t app_index = 0; app_index < apps.size(); ++app_index) {
-    for (const UnitTestDef* test : corpus.ForApp(apps[app_index])) {
-      units.push_back(WorkUnit{app_index, test});
-      ++units_per_app[app_index];
-    }
-  }
-
-  CampaignFolder folder(schema, resolved);
-  size_t apps_begun = 0;
-  auto begin_apps_through = [&](size_t app_index_exclusive) {
-    while (apps_begun < app_index_exclusive) {
-      const std::string& app = apps[apps_begun];
-      folder.BeginApp(app,
-                      coordinator_engine.generator().OriginalInstanceCount(app),
-                      coordinator_engine.generator().StaticPrunedInstanceCount(app),
-                      units_per_app[apps_begun]);
-      ++apps_begun;
-    }
-  };
-
-  size_t cursor = 0;
-  int64_t hung_workers = 0;
-  int64_t requeued_units = 0;
-  int64_t resumed_units = 0;
-
-  // Journal replay before any worker starts, so the remaining dispatch is
-  // exactly the uninterrupted campaign's suffix (same code shape as the
-  // forked scheduler — replay and live results go through one fold).
-  std::unique_ptr<CampaignJournal> journal;
-  if (!pool.journal_path.empty()) {
-    journal = std::make_unique<CampaignJournal>(
-        pool.journal_path, CampaignJournal::Fingerprint(resolved, corpus),
-        pool.resume, CampaignJournal::SyncPolicy{pool.journal_sync_batch});
-    for (const auto& [index, unit] : journal->recovered()) {
-      if (index != cursor || cursor >= units.size()) {
-        ZLOG_WARN << "campaign journal: record out of canonical order; "
-                     "ignoring the rest of the recovered prefix";
-        break;
-      }
-      begin_apps_through(units[cursor].app_index + 1);
-      folder.Fold(unit);
-      ++cursor;
-      ++resumed_units;
-    }
-    if (resumed_units > 0) {
-      ZLOG_INFO << "campaign journal: resumed " << resumed_units << " of "
-                << units.size() << " units from " << pool.journal_path;
-    }
-  }
-
-  size_t remaining = units.size() - cursor;
-  int worker_count =
+  FoldCoordinator coordinator(schema, corpus, std::move(options), pool,
+                              "thread-pool campaign");
+  const CampaignOptions& resolved = coordinator.options();
+  const std::vector<WorkUnit>& units = coordinator.units();
+  const size_t remaining = coordinator.remaining();
+  const int worker_count =
       std::min<int>(pool.workers, std::max<size_t>(remaining, 1));
 
   // The shared cross-worker cache. Workers route executions through it via
   // Campaign::UseSharedRunCache; RunCache is internally synchronized.
   std::unique_ptr<RunCache> shared_cache;
-  if (resolved.enable_run_cache && pool.share_run_cache) {
+  if (resolved.enable_run_cache) {
     shared_cache = std::make_unique<RunCache>(
         RunCache::Limits{resolved.cache_max_entries, resolved.cache_max_bytes});
   }
@@ -141,9 +70,6 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
   // ---- Shared dispatch state (guarded by queue_mutex) -----------------------
   std::mutex queue_mutex;
   std::condition_variable queue_cv;  // workers wait here for work / stop
-  std::deque<size_t> queue;
-  std::vector<int> attempts(units.size(), 0);
-  std::vector<double> not_before(units.size(), 0.0);
   // Confirmations of units the fold has not reached, by unit index. A running
   // attempt reports each one as it confirms it; delivery replaces the list
   // with the delivered one; the critical section that folds, discards or
@@ -153,10 +79,6 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
   // pending or folded when a dispatch looks.
   std::map<size_t, CampaignFolder::PendingUnit> pending;
   bool stop = false;
-
-  for (size_t i = cursor; i < units.size(); ++i) {
-    queue.push_back(i);
-  }
 
   // ---- Result delivery (lock-free slots + a wakeup cv) ----------------------
   std::vector<ResultSlot> slots(units.size());
@@ -189,33 +111,21 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
           if (stop) {
             return;
           }
-          // First dispatchable unit: queue order preserved, backoff-held
-          // units skipped (the forked scheduler's dispatch rule).
-          double now = NowSeconds();
-          double earliest_release = -1.0;
-          auto it = queue.begin();
-          while (it != queue.end() && not_before[*it] > now) {
-            earliest_release = earliest_release < 0
-                                   ? not_before[*it]
-                                   : std::min(earliest_release, not_before[*it]);
-            ++it;
-          }
-          if (it != queue.end()) {
-            unit_index = *it;
-            queue.erase(it);
+          double release = -1.0;
+          if (coordinator.TakeNext(&unit_index, &release)) {
             break;
           }
-          if (earliest_release < 0) {
+          if (release < 0) {
             queue_cv.wait(lock);  // empty queue: wait for requeue or stop
           } else {
             // Every queued unit is backing off: sleep until the earliest
             // release (or an earlier requeue/stop notification).
             queue_cv.wait_for(lock, std::chrono::duration<double>(
-                                        earliest_release - now));
+                                        release - SteadySeconds()));
           }
         }
-        attempt = attempts[unit_index];
-        snapshot = folder.ProjectGloballyUnsafe(pending, unit_index);
+        attempt = coordinator.attempt(unit_index);
+        snapshot = coordinator.folder().ProjectGloballyUnsafe(pending, unit_index);
       }
 
       const WorkUnit& work = units[unit_index];
@@ -247,7 +157,7 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
           case FaultKind::kHang:
             // No watchdog in-process (a thread cannot be SIGKILLed), so a
             // hang injects as an immediately-detected failed attempt; the
-            // forked schedulers remain the real-hang testbed.
+            // fabric's agents remain the real-hang testbed.
             slot.failed = true;
             slot.hang = true;
             skip_execution = true;
@@ -347,127 +257,9 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
     }
   }
 
-  // ---- Coordinator: consume deliveries, fold canonically --------------------
-
-  struct BufferedResult {
-    UnitWorkResult unit;
-    std::set<std::string> snapshot;
-  };
-  std::map<size_t, BufferedResult> buffered;
-  std::set<size_t> poisoned;
-  int live_folds = 0;
-  bool stopped = false;  // abort_after_folds hook or cancel_flag
-
-  // Shared requeue path for every failed attempt (injected crash/hang/garble,
-  // escaped exception): quarantine after unit_attempt_limit attempts,
-  // otherwise re-queue at the head behind a capped exponential backoff —
-  // identical policy to the forked scheduler.
-  auto handle_failed_attempt = [&](size_t unit_index) {
-    ++attempts[unit_index];
-    if (attempts[unit_index] >= resolved.unit_attempt_limit) {
-      ZLOG_WARN << "thread-pool campaign: unit " << units[unit_index].test->id
-                << " failed " << attempts[unit_index]
-                << " attempts; quarantining as poisoned";
-      poisoned.insert(unit_index);
-      return;
-    }
-    double backoff = std::min(resolved.requeue_backoff_cap_seconds,
-                              resolved.requeue_backoff_seconds *
-                                  std::pow(2.0, attempts[unit_index] - 1));
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex);
-      not_before[unit_index] = NowSeconds() + std::max(0.0, backoff);
-      queue.push_front(unit_index);
-      ++requeued_units;
-    }
-    queue_cv.notify_one();
-  };
-
-  // Folds a unit and retires its pending confirmations in one critical
-  // section, then journals it outside the lock.
-  auto fold_at_cursor = [&](const UnitWorkResult& unit) {
-    begin_apps_through(units[cursor].app_index + 1);
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex);
-      folder.Fold(unit);
-      pending.erase(cursor);
-    }
-    if (journal) {
-      journal->Append(cursor, unit);
-    }
-    ++cursor;
-  };
-
-  // Folds every buffered result the canonical order allows: one whose
-  // snapshot agrees with the exact fold-point set on every tested parameter.
-  // Poisoned units fold as empty stubs. Then re-runs every result the fold
-  // has condemned. An under-projected snapshot is condemned wherever it sits
-  // (it can only get worse as the set grows — see the forked scheduler for
-  // the full argument), so the whole doomed wave re-runs in parallel. An
-  // over-projected one is condemned only at the cursor: a later unit may
-  // still confirm the extra parameter before the fold gets there.
-  auto advance_fold = [&]() {
-    while (cursor < units.size()) {
-      if (poisoned.count(cursor) > 0) {
-        UnitWorkResult stub;
-        stub.app = apps[units[cursor].app_index];
-        stub.test_id = units[cursor].test->id;
-        fold_at_cursor(stub);
-        continue;
-      }
-      auto it = buffered.find(cursor);
-      if (it == buffered.end() ||
-          folder.CheckSnapshot(it->second.unit, it->second.snapshot) !=
-              CampaignFolder::SnapshotCheck::kAgrees) {
-        break;
-      }
-      fold_at_cursor(it->second.unit);
-      buffered.erase(it);
-      ++live_folds;
-      if (pool.abort_after_folds > 0 && live_folds >= pool.abort_after_folds) {
-        stopped = true;  // simulated coordinator crash (test hook)
-        break;
-      }
-    }
-    std::vector<std::pair<size_t, const char*>> reruns;  // (unit, reason)
-    for (const auto& [index, result] : buffered) {
-      CampaignFolder::SnapshotCheck check =
-          folder.CheckSnapshot(result.unit, result.snapshot);
-      if (check == CampaignFolder::SnapshotCheck::kUnderProjected) {
-        reruns.emplace_back(index, "stale globally-unsafe snapshot");
-      } else if (check == CampaignFolder::SnapshotCheck::kOverProjected &&
-                 index == cursor) {
-        reruns.emplace_back(index, "over-projected globally-unsafe snapshot");
-      }
-    }
-    if (reruns.empty()) {
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex);
-      // push_front in descending order keeps the re-queued wave in canonical
-      // order at the head (the fold is waiting on the smallest index).
-      for (auto it = reruns.rbegin(); it != reruns.rend(); ++it) {
-        const auto& [index, reason] = *it;
-        ZLOG_INFO << "thread-pool campaign: re-running unit "
-                  << units[index].test->id << " (" << reason << ")";
-        buffered.erase(index);
-        pending.erase(index);
-        slots[index].ready.store(false, std::memory_order_relaxed);
-        queue.push_front(index);
-      }
-    }
-    queue_cv.notify_all();
-  };
-
-  while (cursor < units.size() && !stopped) {
-    if (resolved.cancel_flag != nullptr && *resolved.cancel_flag != 0) {
-      ZLOG_WARN << "thread-pool campaign: cancellation requested; stopping "
-                   "after "
-                << cursor << " of " << units.size() << " units";
-      stopped = true;
-      break;
-    }
+  // ---- Coordinator thread: consume deliveries, fold canonically -------------
+  int64_t hung_workers = 0;
+  while (coordinator.Active()) {
     if (alive_workers.load(std::memory_order_acquire) == 0) {
       // Drain any deliveries the dying workers published first; if the fold
       // still cannot complete, the campaign is stuck.
@@ -492,70 +284,62 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
       }
     }
 
-    // Consume every published slot. The acquire load pairs with the worker's
-    // release store; consuming resets the flag before any possible requeue.
-    for (size_t i = cursor; i < units.size(); ++i) {
-      if (!slots[i].ready.load(std::memory_order_acquire)) {
+    // Consume every published slot. The acquire load pairs with the
+    // worker's release store; consuming resets the flag before any possible
+    // requeue. Buffered results and the fold's own state are the coordinator
+    // thread's alone, so only what workers read — the queue and the folded
+    // set — is touched under queue_mutex.
+    bool requeued = false;
+    for (size_t i = coordinator.cursor(); i < units.size(); ++i) {
+      ResultSlot& slot = slots[i];
+      if (!slot.ready.load(std::memory_order_acquire)) {
         continue;
       }
-      ResultSlot& slot = slots[i];
       slot.ready.store(false, std::memory_order_relaxed);
       {
         std::lock_guard<std::mutex> lock(results_mutex);
         --ready_count;
       }
       if (slot.failed) {
-        if (slot.hang) {
-          ++hung_workers;
-        }
-        handle_failed_attempt(i);
+        hung_workers += slot.hang ? 1 : 0;
+        std::lock_guard<std::mutex> lock(queue_mutex);
+        coordinator.Requeue({i}, /*charge=*/true);
+        requeued = true;
       } else {
-        buffered[i] =
-            BufferedResult{std::move(slot.unit), std::move(slot.snapshot)};
+        coordinator.Buffer(i, std::move(slot.unit), std::move(slot.snapshot));
       }
     }
 
-    advance_fold();
+    // Fold and retire the folded units' pending confirmations in one
+    // critical section; the journal is written after it.
+    {
+      std::lock_guard<std::mutex> lock(queue_mutex);
+      coordinator.Advance();
+      pending.erase(pending.begin(), pending.lower_bound(coordinator.cursor()));
+    }
+    // Re-queue every result the fold condemned, withdrawing its
+    // confirmations.
+    std::vector<std::pair<size_t, const char*>> condemned = coordinator.Condemned();
+    if (!condemned.empty()) {
+      std::lock_guard<std::mutex> lock(queue_mutex);
+      for (const auto& [index, reason] : condemned) {
+        pending.erase(index);
+      }
+      coordinator.Rerun(condemned);
+      requeued = true;
+    }
+    if (requeued) {
+      queue_cv.notify_all();
+    }
+    coordinator.FlushJournal();
   }
 
-  if (!stopped) {
-    // Apps with zero units (or nothing at all to run) still appear in the
-    // report with their enumeration-stage counts, as in the sequential run.
-    begin_apps_through(apps.size());
+  coordinator.report().hung_workers = hung_workers;
+  if (shared_cache == nullptr) {
+    return coordinator.Finish();
   }
-
-  folder.report().hung_workers = hung_workers;
-  folder.report().requeued_units = requeued_units;
-  folder.report().resumed_units = resumed_units;
-  if (journal) {
-    // Flush any batched records before reading the failure counter so a
-    // clean exit never leaves an unsynced tail and a sync error here is
-    // still accounted.
-    journal->Flush();
-    folder.report().journal_append_failures = journal->append_failures();
-  }
-  for (size_t unit_index : poisoned) {
-    folder.report().poisoned_units.push_back(units[unit_index].test->id);
-  }
-  if (shared_cache != nullptr) {
-    // Under a shared cache the per-unit deltas are skipped (see
-    // Campaign::RunUnit), so the folded counters are zero; fill the totals
-    // once from the one cache all workers used. Like the forked schedulers'
-    // per-worker counters these are accounting, not part of the determinism
-    // contract — hit/miss splits depend on scheduling.
-    RunCache::Stats stats = shared_cache->stats();
-    folder.report().cache_hits = stats.hits;
-    folder.report().cache_misses = stats.misses;
-    folder.report().equiv_hits = stats.equiv_hits;
-    folder.report().canonicalized_plans = stats.canonicalized_plans;
-    folder.report().mispredictions = stats.mispredictions;
-    folder.report().cache_evictions = stats.evictions;
-    folder.report().cache_load_failures = stats.load_failures;
-  }
-  folder.report().wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return folder.Finish();
+  const RunCache::Stats cache_totals = shared_cache->stats();
+  return coordinator.Finish(&cache_totals);
 }
 
 }  // namespace zebra

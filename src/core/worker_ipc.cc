@@ -61,23 +61,6 @@ bool ReadExact(int fd, void* data, size_t size) {
   return true;
 }
 
-bool ReadToEof(int fd, std::string* out) {
-  char buffer[4096];
-  while (true) {
-    ssize_t n = ::read(fd, buffer, sizeof(buffer));
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    if (n == 0) {
-      return true;
-    }
-    out->append(buffer, static_cast<size_t>(n));
-  }
-}
-
 bool WriteFrame(int fd, const std::string& payload) {
   char header[kFrameHeaderSize + 1];
   std::snprintf(header, sizeof(header), "%0*zu", static_cast<int>(kFrameHeaderSize),

@@ -1,10 +1,11 @@
-// Hardened pipe plumbing shared by the parallel campaign runners
-// (core/sharded_campaign.cc and core/parallel_scheduler.cc).
+// Hardened fd plumbing: the campaign journal's record framing
+// (campaign_journal.h) and the fabric's process and socket helpers
+// (distributed_campaign.cc, campaign_agent.cc, fabric_wire.cc).
 //
 // Every primitive is EINTR-safe and reports failure through its return value
-// instead of throwing: both sides of the pipe use these — a forked worker
-// cannot throw across _Exit, and the parent must keep going long enough to
-// reap every child before surfacing an error (no zombie leaks).
+// instead of throwing: a forked agent cannot throw across _Exit, and the
+// coordinator must keep going long enough to reap every child before
+// surfacing an error (no zombie leaks).
 
 #ifndef SRC_CORE_WORKER_IPC_H_
 #define SRC_CORE_WORKER_IPC_H_
@@ -29,14 +30,9 @@ bool WriteAll(int fd, const void* data, size_t size);
 // premature EOF. size == 0 succeeds without touching `data` or the fd.
 bool ReadExact(int fd, void* data, size_t size);
 
-// Drains the fd to EOF, retrying on EINTR. Returns false on read error;
-// *out holds whatever arrived either way.
-bool ReadToEof(int fd, std::string* out);
-
 // Length-prefixed message framing (16-byte zero-padded decimal header).
-// A frame survives interleaving with nothing else on the pipe; ReadFrame
-// returns false on EOF, short read, or a malformed header — all of which the
-// schedulers treat as "this worker died".
+// ReadFrame returns false on EOF, short read, or a malformed header — all
+// of which the journal treats as a torn tail.
 bool WriteFrame(int fd, const std::string& payload);
 bool ReadFrame(int fd, std::string* payload);
 
@@ -45,10 +41,10 @@ bool ReadFrame(int fd, std::string* payload);
 // for any of them — reaping must not be short-circuited by one failure.
 bool ReapAll(const std::vector<pid_t>& pids);
 
-// Scoped SIGPIPE suppression for the parent side of every runner: a write on
-// a pipe whose worker died must surface as a WriteAll/WriteFrame return-value
-// failure (EPIPE) the dispatch loop can retire-and-requeue on — never as
-// parent process death. Restores the previous disposition on scope exit.
+// Scoped SIGPIPE suppression for every fabric writer: a write on a socket
+// whose peer died must surface as a WriteAll return-value failure (EPIPE)
+// the coordinator can retire-and-requeue on — never as process death.
+// Restores the previous disposition on scope exit.
 class ScopedIgnoreSigPipe {
  public:
   ScopedIgnoreSigPipe() {

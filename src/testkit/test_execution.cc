@@ -12,8 +12,7 @@
 namespace zebra {
 
 namespace {
-// Thread-local: each thread-pool worker owns its installation window, just
-// as each forked worker owns its process-global copy.
+// Thread-local: each worker thread owns its installation window.
 thread_local std::vector<double>* g_duration_collector = nullptr;
 // Process-wide bench knob, set before any worker starts; atomic so worker
 // threads may read it while a bench harness toggles between regimes.

@@ -44,14 +44,12 @@ std::shared_ptr<const TestResult> RunUnitTestShared(const UnitTestDef& test,
 // nothing and record nothing); pass nullptr to uninstall. Used by the
 // campaign to feed the fleet cost model.
 //
-// Ownership and process model: the collector pointer is process-global state.
-// Exactly one campaign engine per process may install it at a time, and the
+// Ownership and thread model: the collector pointer is thread-local state.
+// Exactly one campaign engine per thread may install it at a time, and the
 // installer must uninstall (nullptr) before the pointed-to vector dies.
-// Under the parallel scheduler this is naturally safe: each forked worker is
-// its own process with its own copy of the global, and installs a collector
-// scoped to the work unit it is executing (see parallel_scheduler.cc), so
-// fleet-model inputs are per-run-accurate across the pool. Not thread-safe —
-// executions are serialized anyway (ConfAgent sessions are exclusive).
+// Campaign::RunUnit installs a collector scoped to the work unit it is
+// executing, so fleet-model inputs are per-run-accurate on every worker
+// thread and in every fabric agent.
 void SetRunDurationCollector(std::vector<double>* collector);
 
 // Simulated per-run harness latency, in microseconds (default 0 = off).
@@ -62,8 +60,8 @@ void SetRunDurationCollector(std::vector<double>* collector);
 // window, while run-cache hits (which execute nothing) skip it. Sleeping
 // (not spinning) is deliberate: it models waits, which parallel worker
 // processes overlap even on a single CPU, exactly as the paper's containers
-// overlap I/O-bound test runs. Process-global; forked workers inherit the
-// value set before the fork. Never set this in correctness tests.
+// overlap I/O-bound test runs. Process-global; spawned fabric agents inherit
+// the value set before the fork. Never set this in correctness tests.
 void SetSyntheticRunLatencyUs(int64_t micros);
 int64_t SyntheticRunLatencyUs();
 

@@ -28,7 +28,6 @@
 
 #include "src/common/error.h"
 #include "src/core/campaign_agent.h"
-#include "src/core/campaign_executor.h"
 #include "src/core/distributed_campaign.h"
 #include "src/core/fabric_wire.h"
 #include "src/core/fault_injection.h"
@@ -788,67 +787,27 @@ TEST(DistributedCampaignTest, CorruptAgentCacheDegradesToColdStart) {
   std::remove(cache_file.c_str());
 }
 
-// --- Executor wiring --------------------------------------------------------
-
-TEST(DistributedExecutorTest, RegisteredAndBitwiseIdentical) {
-  ASSERT_TRUE(ParseExecutorKind("distributed").has_value());
-  EXPECT_EQ(*ParseExecutorKind("distributed"), ExecutorKind::kDistributed);
-  EXPECT_EQ(std::string(ExecutorKindName(ExecutorKind::kDistributed)),
-            "distributed");
-
-  CampaignOptions options = SmallCampaign();
-  CampaignReport expected = SequentialReference(options);
-
-  auto executor = MakeExecutor(ExecutorKind::kDistributed);
-  EXPECT_EQ(std::string(executor->name()), "distributed");
-  EXPECT_TRUE(executor->supports_journal());
-  EXPECT_TRUE(executor->supports_fault_injection());
-
-  ExecutorOptions exec;
-  exec.workers = 2;  // agents, for the distributed backend
-  exec.agent_threads = 2;
-  CampaignReport report =
-      executor->Run(FullSchema(), FullCorpus(), options, exec);
-  ExpectIdenticalResults(report, expected, "distributed executor");
+TEST(DistributedCampaignTest, AllAgentsDeadThrows) {
+  CampaignOptions options;
+  options.apps = {"minikv"};
+  // A single agent that crashes on the very first unit leaves nobody to take
+  // over its leases.
+  DistributedCampaignOptions fabric;
+  fabric.agents = 1;
+  FaultSpec crash;
+  crash.kind = FaultKind::kCrash;
+  crash.test_id = "minikv.TestPutGet";
+  crash.attempt = -1;
+  fabric.faults.specs.push_back(crash);
+  EXPECT_THROW(RunFabric(options, fabric), Error);
 }
 
-TEST(DistributedExecutorTest, SingleBoxBackendsRefuseFabricOptions) {
-  CampaignOptions options = SmallCampaign();
-
-  ExecutorOptions threads;
-  threads.workers = 1;
-  threads.agent_threads = 2;
-  EXPECT_THROW(MakeExecutor(ExecutorKind::kSequential)
-                   ->Run(FullSchema(), FullCorpus(), options, threads),
-               Error);
-
-  ExecutorOptions nets;
-  nets.workers = 2;
-  nets.net_faults.agent_crash_rate = 0.5;
-  EXPECT_THROW(MakeExecutor(ExecutorKind::kThreadPool)
-                   ->Run(FullSchema(), FullCorpus(), options, nets),
-               Error);
-
-  ExecutorOptions listen;
-  listen.workers = 2;
-  listen.listen_address = ":9009";
-  EXPECT_THROW(MakeExecutor(ExecutorKind::kSharded)
-                   ->Run(FullSchema(), FullCorpus(), options, listen),
-               Error);
-
-  ExecutorOptions depth;
-  depth.workers = 2;
-  depth.pipeline_depth = 2;
-  EXPECT_THROW(MakeExecutor(ExecutorKind::kStealing)
-                   ->Run(FullSchema(), FullCorpus(), options, depth),
-               Error);
-
-  ExecutorOptions cache_dir;
-  cache_dir.workers = 2;
-  cache_dir.agent_cache_dir = ::testing::TempDir();
-  EXPECT_THROW(MakeExecutor(ExecutorKind::kThreadPool)
-                   ->Run(FullSchema(), FullCorpus(), options, cache_dir),
-               Error);
+TEST(DistributedCampaignTest, ZeroAgentsRejected) {
+  CampaignOptions options;
+  options.apps = {"minikv"};
+  DistributedCampaignOptions fabric;
+  fabric.agents = 0;
+  EXPECT_THROW(RunFabric(options, fabric), Error);
 }
 
 }  // namespace

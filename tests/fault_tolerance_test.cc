@@ -1,15 +1,17 @@
 // Tests for the fault-tolerant campaign machinery: deterministic fault
 // injection (crash / hang / garbled-frame / slow-worker), the watchdog
 // deadline, poisoned-unit quarantine, and crash-safe journal/resume. The
-// invariant under test everywhere: faults change how often units re-run and
-// how long the campaign takes — never findings, Table-5 stage counts, or
-// runs_to_first_detection, which must stay bitwise-identical to the
-// uninterrupted sequential campaign (CI-gated via the *BitwiseIdentical*
-// filter).
+// faults are real process faults: they fire inside the distributed fabric's
+// spawned agents, which crash with _Exit, hang in pause() until the lease
+// watchdog SIGKILLs them, or write a corrupt frame. The invariant under test
+// everywhere: faults change how often units re-run and how long the campaign
+// takes — never findings, Table-5 stage counts, or runs_to_first_detection,
+// which must stay bitwise-identical to the uninterrupted sequential campaign
+// (CI-gated via the *BitwiseIdentical* filter).
 //
-// Note on worker budgets: the pool is fixed — a crash, garble, or watchdog
-// SIGKILL permanently retires one worker (the scheduler throws only when
-// none remain) — so each test provisions one more worker than the faults it
+// Note on agent budgets: the fleet is fixed — a crash, garble, or watchdog
+// SIGKILL permanently retires one agent (the coordinator throws only when
+// none remain) — so each test provisions one more agent than the faults it
 // injects.
 
 #include <sys/stat.h>
@@ -23,7 +25,7 @@
 #include "src/common/error.h"
 #include "src/core/campaign_journal.h"
 #include "src/core/fault_injection.h"
-#include "src/core/parallel_scheduler.h"
+#include "src/core/distributed_campaign.h"
 #include "src/core/watchdog.h"
 #include "src/testkit/full_schema.h"
 #include "src/testkit/unit_test_registry.h"
@@ -32,7 +34,7 @@ namespace zebra {
 namespace {
 
 // Full structural equality against the sequential reference (same contract
-// as parallel_scheduler_test.cc). Durations, wall-clock, and the
+// as thread_pool_scheduler_test.cc). Durations, wall-clock, and the
 // fault-tolerance counters themselves are accounting, not results.
 void ExpectIdenticalResults(const CampaignReport& actual,
                             const CampaignReport& expected,
@@ -182,10 +184,10 @@ TEST(FaultToleranceTest, CrashPlanBitwiseIdentical) {
   CampaignReport expected = SequentialReference(options);
   ASSERT_GT(expected.findings.size(), 0u);
 
-  // Three first-attempt crashes on three different units, three workers
+  // Three first-attempt crashes on three different units, three agents
   // lost; the fourth finishes the campaign.
-  ParallelCampaignOptions parallel;
-  parallel.workers = 4;
+  DistributedCampaignOptions fabric;
+  fabric.agents = 4;
   for (const char* test_id :
        {"minikv.TestPutGet", "ministream.TestDataExchange",
         "minikv.TestRestStatus"}) {
@@ -193,11 +195,11 @@ TEST(FaultToleranceTest, CrashPlanBitwiseIdentical) {
     spec.kind = FaultKind::kCrash;
     spec.test_id = test_id;
     spec.attempt = 0;
-    parallel.faults.specs.push_back(spec);
+    fabric.faults.specs.push_back(spec);
   }
 
   CampaignReport report =
-      RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, parallel);
+      RunDistributedCampaign(FullSchema(), FullCorpus(), options, fabric);
   ExpectIdenticalResults(report, expected, "crash plan");
   EXPECT_GE(report.requeued_units, 1);
   EXPECT_TRUE(report.poisoned_units.empty());
@@ -208,22 +210,22 @@ TEST(FaultToleranceTest, HangWatchdogBitwiseIdentical) {
   CampaignReport expected = SequentialReference(options);
 
   // The very first unit hangs on its first attempt. The watchdog (tight
-  // floor so the test stays fast) SIGKILLs the stuck worker; the survivor
+  // floor so the test stays fast) SIGKILLs the stuck agent; the survivor
   // re-runs the unit and the campaign must not notice.
   CampaignOptions tuned = options;
   tuned.watchdog_floor_seconds = 0.25;
   tuned.watchdog_multiplier = 4.0;
 
-  ParallelCampaignOptions parallel;
-  parallel.workers = 2;
+  DistributedCampaignOptions fabric;
+  fabric.agents = 2;
   FaultSpec hang;
   hang.kind = FaultKind::kHang;
   hang.test_id = "minikv.TestPutGet";
   hang.attempt = 0;
-  parallel.faults.specs.push_back(hang);
+  fabric.faults.specs.push_back(hang);
 
   CampaignReport report =
-      RunWorkStealingCampaign(FullSchema(), FullCorpus(), tuned, parallel);
+      RunDistributedCampaign(FullSchema(), FullCorpus(), tuned, fabric);
   ExpectIdenticalResults(report, expected, "hang + watchdog");
   EXPECT_EQ(report.hung_workers, 1);
   EXPECT_GE(report.requeued_units, 1);
@@ -234,16 +236,16 @@ TEST(FaultToleranceTest, GarbledFrameBitwiseIdentical) {
   CampaignOptions options = SmallCampaign();
   CampaignReport expected = SequentialReference(options);
 
-  ParallelCampaignOptions parallel;
-  parallel.workers = 2;
+  DistributedCampaignOptions fabric;
+  fabric.agents = 2;
   FaultSpec garble;
   garble.kind = FaultKind::kGarbledFrame;
   garble.test_id = "ministream.TestDataExchange";
   garble.attempt = 0;
-  parallel.faults.specs.push_back(garble);
+  fabric.faults.specs.push_back(garble);
 
   CampaignReport report =
-      RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, parallel);
+      RunDistributedCampaign(FullSchema(), FullCorpus(), options, fabric);
   ExpectIdenticalResults(report, expected, "garbled frame");
   EXPECT_GE(report.requeued_units, 1);
 }
@@ -254,17 +256,17 @@ TEST(FaultToleranceTest, SlowWorkerBitwiseIdentical) {
 
   // A slow worker must ride out the default watchdog untouched: slowness is
   // not a fault, just load.
-  ParallelCampaignOptions parallel;
-  parallel.workers = 2;
+  DistributedCampaignOptions fabric;
+  fabric.agents = 2;
   FaultSpec slow;
   slow.kind = FaultKind::kSlowWorker;
   slow.test_id = "minikv.TestPutGet";
   slow.attempt = -1;
   slow.slow_seconds = 0.05;
-  parallel.faults.specs.push_back(slow);
+  fabric.faults.specs.push_back(slow);
 
   CampaignReport report =
-      RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, parallel);
+      RunDistributedCampaign(FullSchema(), FullCorpus(), options, fabric);
   ExpectIdenticalResults(report, expected, "slow worker");
   EXPECT_EQ(report.hung_workers, 0);
   EXPECT_EQ(report.requeued_units, 0);
@@ -277,19 +279,21 @@ TEST(FaultToleranceTest, PoisonedUnitQuarantinedAndCampaignCompletes) {
   options.unit_attempt_limit = 2;
 
   // This unit hangs on EVERY attempt: without quarantine the scheduler
-  // would burn workers on it forever. After two watchdog kills it must be
+  // would burn agents on it forever. After two watchdog kills it must be
   // poisoned, folded as an empty stub, and the rest of the campaign must
-  // still complete with the one surviving worker.
-  ParallelCampaignOptions parallel;
-  parallel.workers = 3;
+  // still complete with the one surviving agent. Each hung agent also held
+  // a healthy unit queued behind the hang (pipeline depth 2); that unit was
+  // never running, so it goes back uncharged and is not poisoned.
+  DistributedCampaignOptions fabric;
+  fabric.agents = 3;
   FaultSpec hang;
   hang.kind = FaultKind::kHang;
   hang.test_id = "minikv.TestPutGet";
   hang.attempt = -1;
-  parallel.faults.specs.push_back(hang);
+  fabric.faults.specs.push_back(hang);
 
   CampaignReport report =
-      RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, parallel);
+      RunDistributedCampaign(FullSchema(), FullCorpus(), options, fabric);
   ASSERT_EQ(report.poisoned_units.size(), 1u);
   EXPECT_EQ(report.poisoned_units[0], "minikv.TestPutGet");
   EXPECT_EQ(report.hung_workers, 2);
@@ -306,22 +310,22 @@ TEST(FaultToleranceTest, JournalResumeBitwiseIdentical) {
 
   // First invocation "crashes" (abort hook) after three folds; the journal
   // holds exactly those three unit results.
-  ParallelCampaignOptions first;
-  first.workers = 2;
+  DistributedCampaignOptions first;
+  first.agents = 2;
   first.journal_path = path;
   first.abort_after_folds = 3;
   CampaignReport partial =
-      RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, first);
+      RunDistributedCampaign(FullSchema(), FullCorpus(), options, first);
   EXPECT_LT(partial.total_unit_test_runs, expected.total_unit_test_runs);
 
   // The resumed campaign replays the journal prefix and runs only the rest —
   // and must be bitwise-identical to the uninterrupted reference.
-  ParallelCampaignOptions second;
-  second.workers = 2;
+  DistributedCampaignOptions second;
+  second.agents = 2;
   second.journal_path = path;
   second.resume = true;
   CampaignReport resumed =
-      RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, second);
+      RunDistributedCampaign(FullSchema(), FullCorpus(), options, second);
   ExpectIdenticalResults(resumed, expected, "journal resume");
   EXPECT_EQ(resumed.resumed_units, 3);
   std::remove(path.c_str());
@@ -337,22 +341,22 @@ TEST(FaultToleranceTest, GroupCommitJournalResumeBitwiseIdentical) {
   const std::string path = ::testing::TempDir() + "/fault_batch_resume.zj";
   std::remove(path.c_str());
 
-  ParallelCampaignOptions first;
-  first.workers = 2;
+  DistributedCampaignOptions first;
+  first.agents = 2;
   first.journal_path = path;
   first.journal_sync_batch = 4;
   first.abort_after_folds = 3;  // mid-batch: 3 folded, none past a boundary
   CampaignReport partial =
-      RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, first);
+      RunDistributedCampaign(FullSchema(), FullCorpus(), options, first);
   EXPECT_LT(partial.total_unit_test_runs, expected.total_unit_test_runs);
 
-  ParallelCampaignOptions second;
-  second.workers = 2;
+  DistributedCampaignOptions second;
+  second.agents = 2;
   second.journal_path = path;
   second.journal_sync_batch = 4;
   second.resume = true;
   CampaignReport resumed =
-      RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, second);
+      RunDistributedCampaign(FullSchema(), FullCorpus(), options, second);
   ExpectIdenticalResults(resumed, expected, "group-commit journal resume");
   EXPECT_EQ(resumed.resumed_units, 3);
   EXPECT_EQ(resumed.journal_append_failures, 0);
@@ -365,11 +369,11 @@ TEST(FaultToleranceTest, TornJournalTailResumeBitwiseIdentical) {
   const std::string path = ::testing::TempDir() + "/fault_torn_resume.zj";
   std::remove(path.c_str());
 
-  ParallelCampaignOptions first;
-  first.workers = 2;
+  DistributedCampaignOptions first;
+  first.agents = 2;
   first.journal_path = path;
   first.abort_after_folds = 5;
-  RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, first);
+  RunDistributedCampaign(FullSchema(), FullCorpus(), options, first);
 
   // Smear garbage over the tail of the last record, as a crash mid-append
   // would: the checksum rejects the record, resume keeps the 4-record
@@ -383,12 +387,12 @@ TEST(FaultToleranceTest, TornJournalTailResumeBitwiseIdentical) {
     file.write("ZZZZZZZZ", 8);
   }
 
-  ParallelCampaignOptions second;
-  second.workers = 2;
+  DistributedCampaignOptions second;
+  second.agents = 2;
   second.journal_path = path;
   second.resume = true;
   CampaignReport resumed =
-      RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, second);
+      RunDistributedCampaign(FullSchema(), FullCorpus(), options, second);
   ExpectIdenticalResults(resumed, expected, "torn journal resume");
   EXPECT_EQ(resumed.resumed_units, 4);
   std::remove(path.c_str());
@@ -399,22 +403,22 @@ TEST(FaultToleranceTest, ResumeWithDifferentCampaignThrows) {
   const std::string path = ::testing::TempDir() + "/fault_mismatch.zj";
   std::remove(path.c_str());
 
-  ParallelCampaignOptions first;
-  first.workers = 1;
+  DistributedCampaignOptions first;
+  first.agents = 1;
   first.journal_path = path;
   first.abort_after_folds = 2;
-  RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, first);
+  RunDistributedCampaign(FullSchema(), FullCorpus(), options, first);
 
   // Resuming with result-affecting options changed must refuse, not
   // silently mix two campaigns' results.
   CampaignOptions different = options;
   different.enable_pooling = false;
-  ParallelCampaignOptions second;
-  second.workers = 1;
+  DistributedCampaignOptions second;
+  second.agents = 1;
   second.journal_path = path;
   second.resume = true;
   EXPECT_THROW(
-      RunWorkStealingCampaign(FullSchema(), FullCorpus(), different, second),
+      RunDistributedCampaign(FullSchema(), FullCorpus(), different, second),
       Error);
   std::remove(path.c_str());
 }
@@ -427,8 +431,8 @@ TEST(FaultToleranceTest, FaultsUnderJournalResumeBitwiseIdentical) {
   const std::string path = ::testing::TempDir() + "/fault_compose.zj";
   std::remove(path.c_str());
 
-  ParallelCampaignOptions first;
-  first.workers = 3;
+  DistributedCampaignOptions first;
+  first.agents = 3;
   first.journal_path = path;
   first.abort_after_folds = 4;
   FaultSpec crash;
@@ -436,10 +440,10 @@ TEST(FaultToleranceTest, FaultsUnderJournalResumeBitwiseIdentical) {
   crash.test_id = "minikv.TestPutGet";
   crash.attempt = 0;
   first.faults.specs.push_back(crash);
-  RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, first);
+  RunDistributedCampaign(FullSchema(), FullCorpus(), options, first);
 
-  ParallelCampaignOptions second;
-  second.workers = 3;
+  DistributedCampaignOptions second;
+  second.agents = 3;
   second.journal_path = path;
   second.resume = true;
   FaultSpec crash_later;
@@ -448,7 +452,7 @@ TEST(FaultToleranceTest, FaultsUnderJournalResumeBitwiseIdentical) {
   crash_later.attempt = 0;
   second.faults.specs.push_back(crash_later);
   CampaignReport resumed =
-      RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, second);
+      RunDistributedCampaign(FullSchema(), FullCorpus(), options, second);
   ExpectIdenticalResults(resumed, expected, "faults + journal resume");
   EXPECT_EQ(resumed.resumed_units, 4);
   std::remove(path.c_str());

@@ -1,4 +1,4 @@
-// Tests for report serialization and shard merging.
+// Tests for report serialization.
 
 #include "src/core/report_io.h"
 
@@ -75,40 +75,6 @@ TEST(ReportIoTest, MalformedTextRejected) {
   EXPECT_THROW(DeserializeReport("not properties at all"), Error);
 }
 
-TEST(ReportIoTest, MergeDisjointShards) {
-  CampaignReport merged =
-      MergeReports({SampleReport("minikv"), SampleReport("ministream")});
-  EXPECT_EQ(merged.per_app.size(), 2u);
-  EXPECT_EQ(merged.findings.size(), 2u);
-  EXPECT_EQ(merged.first_trial_candidates, 14);
-  EXPECT_EQ(merged.total_unit_test_runs, 242);
-  EXPECT_EQ(merged.run_durations_seconds.size(), 242u);
-}
-
-TEST(ReportIoTest, MergeUnionsWitnessesForSharedParams) {
-  CampaignReport a = SampleReport("minikv");
-  CampaignReport b = SampleReport("ministream");
-  // The same (shared-library) parameter found in both shards.
-  ParamFinding shared;
-  shared.param = "hadoop.rpc.protection";
-  shared.owning_app = "appcommon";
-  shared.best_p_value = 1e-5;
-  shared.witness_tests = {"minikv.TestPutGet"};
-  a.findings[shared.param] = shared;
-  shared.best_p_value = 1e-6;
-  shared.witness_tests = {"ministream.TestDataExchange"};
-  b.findings[shared.param] = shared;
-
-  CampaignReport merged = MergeReports({a, b});
-  const ParamFinding& finding = merged.findings.at("hadoop.rpc.protection");
-  EXPECT_EQ(finding.witness_tests.size(), 2u);
-  EXPECT_NEAR(finding.best_p_value, 1e-6, 1e-12);
-}
-
-TEST(ReportIoTest, MergeRejectsDuplicateApps) {
-  EXPECT_THROW(MergeReports({SampleReport("minikv"), SampleReport("minikv")}), Error);
-}
-
 TEST(ReportIoTest, RoundTripPreservesSharingCacheAndDetectionStats) {
   CampaignReport original = SampleReport("minikv");
   original.per_app.at("minikv").after_static = 4200;
@@ -143,37 +109,6 @@ TEST(ReportIoTest, OldSerializationsDefaultAfterStaticToOriginal) {
   }
   CampaignReport restored = DeserializeReport(filtered);
   EXPECT_EQ(restored.per_app.at("minikv").after_static, 5000);
-}
-
-TEST(ReportIoTest, MergedFirstDetectionIsShardOrderIndependent) {
-  // Regression: the merged runs_to_first_detection must not depend on which
-  // shard's report happens to arrive first. Shards are ranked canonically
-  // (by smallest app name), and the merged value counts all executions of
-  // canonically-earlier shards plus the detecting shard's own count.
-  CampaignReport apptools_shard = SampleReport("apptools");  // no detection
-  apptools_shard.runs_to_first_detection = 0;
-  CampaignReport minikv_shard = SampleReport("minikv");
-  minikv_shard.runs_to_first_detection = 40;
-  minikv_shard.first_detection_param = "minikv.some.param";
-  CampaignReport ministream_shard = SampleReport("ministream");
-  ministream_shard.runs_to_first_detection = 9;
-  ministream_shard.first_detection_param = "akka.ssl.enabled";
-
-  CampaignReport forward =
-      MergeReports({apptools_shard, minikv_shard, ministream_shard});
-  CampaignReport reversed =
-      MergeReports({ministream_shard, minikv_shard, apptools_shard});
-  CampaignReport shuffled =
-      MergeReports({minikv_shard, ministream_shard, apptools_shard});
-
-  // Canonical order: apptools (no detection, 120 executions), then minikv
-  // (detects after 40 of its own runs) -> 120 + 40.
-  EXPECT_EQ(forward.runs_to_first_detection, 160);
-  EXPECT_EQ(forward.first_detection_param, "minikv.some.param");
-  EXPECT_EQ(reversed.runs_to_first_detection, forward.runs_to_first_detection);
-  EXPECT_EQ(reversed.first_detection_param, forward.first_detection_param);
-  EXPECT_EQ(shuffled.runs_to_first_detection, forward.runs_to_first_detection);
-  EXPECT_EQ(shuffled.first_detection_param, forward.first_detection_param);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// Tests for the in-process thread-pool scheduler and the CampaignExecutor
-// interface. The determinism contract is the same one the forked schedulers
-// carry — findings, Table-5 stage counts, and runs_to_first_detection
-// bitwise-identical to the sequential campaign at every thread count — plus
-// the thread-specific surfaces: the shared cross-worker run cache, the
-// thread mapping of injected faults, and journal/resume without forks.
+// Tests for the in-process thread-pool scheduler. The determinism contract
+// is the one every backend carries — findings, Table-5 stage counts, and
+// runs_to_first_detection bitwise-identical to the sequential campaign at
+// every thread count — plus the thread-specific surfaces: the shared
+// cross-worker run cache, the thread mapping of injected faults, and
+// journal/resume without forks.
 
 #include "src/core/thread_pool_scheduler.h"
 
@@ -21,7 +21,7 @@
 
 #include "src/common/error.h"
 #include "src/conf/plan_equiv.h"
-#include "src/core/campaign_executor.h"
+#include "src/core/distributed_campaign.h"
 #include "src/testkit/full_schema.h"
 #include "src/testkit/run_cache.h"
 #include "src/testkit/unit_test_registry.h"
@@ -108,23 +108,6 @@ TEST(ThreadPoolSchedulerTest, SharedRunCacheDoesNotChangeResultsAndRecordsHits) 
   EXPECT_GT(cached.cache_misses, 0);
 }
 
-TEST(ThreadPoolSchedulerTest, PerWorkerCachesAlsoPreserveResults) {
-  CampaignOptions options;
-  options.apps = {"minikv", "ministream"};
-  Campaign sequential(FullSchema(), FullCorpus(), options);
-  CampaignReport expected = sequential.Run();
-
-  CampaignOptions cached_options = options;
-  cached_options.enable_run_cache = true;
-  ThreadPoolCampaignOptions pool;
-  pool.workers = 4;
-  pool.share_run_cache = false;  // forked-scheduler-style per-engine caches
-  CampaignReport cached =
-      RunThreadPoolCampaign(FullSchema(), FullCorpus(), cached_options, pool);
-  ExpectIdenticalResults(cached, expected, "per-worker caches");
-  EXPECT_GT(cached.cache_hits, 0);
-}
-
 TEST(ThreadPoolSchedulerTest, EquivCacheBitwiseIdenticalAtEveryThreadCount) {
   // The strongest cache contract: equivalence-layer serves across different
   // plans, shared across workers, and the no-cache sequential reference must
@@ -143,6 +126,35 @@ TEST(ThreadPoolSchedulerTest, EquivCacheBitwiseIdenticalAtEveryThreadCount) {
                                                   equiv_options, workers);
     ExpectIdenticalResults(pooled, expected,
                            "equiv workers=" + std::to_string(workers));
+  }
+}
+
+TEST(ThreadPoolSchedulerTest, EquivCacheBitwiseIdenticalUnprunedRegime) {
+  // The regime where the layer actually collapses whole equivalence classes
+  // (generation without pre-run read pruning): most plans differ only in
+  // override entries no targeted conf reads, and the cache must dedup them
+  // without moving a single finding.
+  CampaignOptions options;
+  options.apps = {"minikv", "ministream", "apptools"};
+  options.prune_unread_instances = false;
+  Campaign sequential(FullSchema(), FullCorpus(), options);
+  CampaignReport expected = sequential.Run();
+  ASSERT_GT(expected.findings.size(), 0u);
+
+  CampaignOptions equiv_options = options;
+  equiv_options.enable_run_cache = true;
+  equiv_options.enable_equiv_cache = true;
+
+  Campaign seq_equiv(FullSchema(), FullCorpus(), equiv_options);
+  CampaignReport sequential_equiv = seq_equiv.Run();
+  ExpectIdenticalResults(sequential_equiv, expected, "sequential equiv unpruned");
+  EXPECT_GT(sequential_equiv.equiv_hits, 0);
+
+  for (int workers : {2, 4}) {
+    CampaignReport pooled = RunThreadPoolCampaign(FullSchema(), FullCorpus(),
+                                                  equiv_options, workers);
+    ExpectIdenticalResults(pooled, expected,
+                           "equiv unpruned workers=" + std::to_string(workers));
   }
 }
 
@@ -326,76 +338,23 @@ TEST(ThreadPoolSchedulerTest, CancelFlagStopsAtUnitBoundary) {
 }
 
 // ---------------------------------------------------------------------------
-// CampaignExecutor interface
+// Every backend
 // ---------------------------------------------------------------------------
 
-TEST(CampaignExecutorTest, EveryBackendProducesIdenticalResults) {
+TEST(CampaignBackendTest, EveryBackendProducesIdenticalResults) {
   CampaignOptions options;
   options.apps = {"minikv", "ministream"};
-  Campaign sequential_ref(FullSchema(), FullCorpus(), options);
-  CampaignReport expected = sequential_ref.Run();
+  CampaignReport expected = Campaign(FullSchema(), FullCorpus(), options).Run();
   ASSERT_GT(expected.findings.size(), 0u);
 
-  for (ExecutorKind kind :
-       {ExecutorKind::kSequential, ExecutorKind::kSharded,
-        ExecutorKind::kStealing, ExecutorKind::kThreadPool}) {
-    auto executor = MakeExecutor(kind);
-    ExecutorOptions exec;
-    exec.workers = kind == ExecutorKind::kSequential ? 1 : 2;
-    CampaignReport report =
-        executor->Run(FullSchema(), FullCorpus(), options, exec);
-    ExpectIdenticalResults(report, expected, executor->name());
-  }
-}
-
-TEST(CampaignExecutorTest, ParseAndNameRoundTrip) {
-  for (ExecutorKind kind :
-       {ExecutorKind::kSequential, ExecutorKind::kSharded,
-        ExecutorKind::kStealing, ExecutorKind::kThreadPool}) {
-    auto parsed = ParseExecutorKind(ExecutorKindName(kind));
-    ASSERT_TRUE(parsed.has_value()) << ExecutorKindName(kind);
-    EXPECT_EQ(*parsed, kind);
-    EXPECT_STREQ(MakeExecutor(kind)->name(), ExecutorKindName(kind));
-  }
-  EXPECT_FALSE(ParseExecutorKind("fork-bomb").has_value());
-}
-
-TEST(CampaignExecutorTest, UnhonorableOptionsAreRejectedNotDropped) {
-  CampaignOptions options;
-  options.apps = {"minikv"};
-
-  ExecutorOptions with_journal;
-  with_journal.journal_path = ::testing::TempDir() + "/exec_reject.zj";
-  EXPECT_THROW(MakeExecutor(ExecutorKind::kSequential)
-                   ->Run(FullSchema(), FullCorpus(), options, with_journal),
-               Error);
-  EXPECT_THROW(MakeExecutor(ExecutorKind::kSharded)
-                   ->Run(FullSchema(), FullCorpus(), options, with_journal),
-               Error);
-
-  ExecutorOptions with_faults;
-  FaultSpec crash;
-  crash.kind = FaultKind::kCrash;
-  with_faults.faults.specs.push_back(crash);
-  EXPECT_THROW(MakeExecutor(ExecutorKind::kSequential)
-                   ->Run(FullSchema(), FullCorpus(), options, with_faults),
-               Error);
-}
-
-TEST(CampaignExecutorTest, CapabilityFlagsMatchBackends) {
-  EXPECT_FALSE(MakeExecutor(ExecutorKind::kSequential)->supports_journal());
-  EXPECT_FALSE(
-      MakeExecutor(ExecutorKind::kSequential)->supports_fault_injection());
-  EXPECT_TRUE(MakeExecutor(ExecutorKind::kSharded)->supports_process_faults());
-  EXPECT_FALSE(MakeExecutor(ExecutorKind::kSharded)->supports_journal());
-  EXPECT_TRUE(MakeExecutor(ExecutorKind::kStealing)->supports_journal());
-  EXPECT_TRUE(
-      MakeExecutor(ExecutorKind::kStealing)->supports_process_faults());
-  EXPECT_TRUE(MakeExecutor(ExecutorKind::kThreadPool)->supports_journal());
-  EXPECT_FALSE(
-      MakeExecutor(ExecutorKind::kThreadPool)->supports_process_faults());
-  EXPECT_TRUE(
-      MakeExecutor(ExecutorKind::kThreadPool)->supports_fault_injection());
+  ExpectIdenticalResults(
+      RunThreadPoolCampaign(FullSchema(), FullCorpus(), options, 2), expected,
+      "threadpool");
+  DistributedCampaignOptions fabric;
+  fabric.agents = 2;
+  ExpectIdenticalResults(
+      RunDistributedCampaign(FullSchema(), FullCorpus(), options, fabric),
+      expected, "distributed");
 }
 
 // ---------------------------------------------------------------------------
