@@ -191,8 +191,10 @@ int main(int argc, char** argv) {
           "--agent-index I (agent mode runs no coordinator: it executes\n"
           "dispatched units until kShutdown and exits).\n"
           "--pipeline-depth keeps depth x K leases in flight per agent\n"
-          "(default 2) so agent workers never stall on a dispatch round\n"
-          "trip; findings are identical at every depth.\n"
+          "(default 1). Deeper pipelines hide the dispatch round trip, but\n"
+          "a queued unit starts before its predecessors' confirmations can\n"
+          "reach its snapshot and re-runs more often; findings are\n"
+          "identical at every depth.\n"
           "--agent-cache-dir DIR persists each agent's run cache to\n"
           "DIR/fabric-<schema-hash>-agent<N>.zc across campaigns (implies\n"
           "the run cache; corrupt files degrade to a cold start). In agent\n"

@@ -176,8 +176,8 @@ int RunCampaignAgent(const ConfSchema& schema, const UnitTestRegistry& corpus,
   int64_t snap_epoch_run = 0;
   std::set<std::string> snap_unsafe;
 
-  // All socket writes (result batches, heartbeats, nacks, injected junk)
-  // serialize here so frames never interleave mid-stream.
+  // All socket writes (confirmations, result batches, heartbeats, nacks,
+  // injected junk) serialize here so frames never interleave mid-stream.
   std::mutex write_mutex;
 
   // Completed-result outbox. A worker finishing a unit appends its record
@@ -303,9 +303,20 @@ int RunCampaignAgent(const ConfSchema& schema, const UnitTestRegistry& corpus,
         unsafe = snap_unsafe;
         run_epoch = snap_epoch_run;
       }
+      // Each confirmation goes out the moment it is made, so the
+      // coordinator's projections count it before the result arrives. It
+      // precedes the result record on the one connection.
+      auto stream_confirmation = [&](const UnitConfirmation& confirmation) {
+        const std::string frame =
+            EncodeConfirm(item.unit_index, item.attempt, confirmation.param);
+        std::lock_guard<std::mutex> lock(write_mutex);
+        if (!WriteFabricFrame(fd, FabricMsg::kConfirm, frame)) {
+          std::_Exit(5);  // coordinator went away; nothing left to report to
+        }
+      };
       UnitWorkResult unit;
       try {
-        unit = engine.RunUnit(test, unsafe);
+        unit = engine.RunUnit(test, unsafe, stream_confirmation);
       } catch (const std::exception& e) {
         // An escaped exception takes the whole agent down so the
         // coordinator's requeue path recovers the lease.

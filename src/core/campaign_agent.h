@@ -18,15 +18,17 @@
 // door. The protocol version rides in every frame header and is checked
 // before the payload is even trusted.
 //
-// Steady state (wire v2). The main thread reads kDispatchBatch frames — a
+// Steady state (wire v3). The main thread reads kDispatchBatch frames — a
 // snapshot section carrying the globally-unsafe set as an epoch-numbered
 // full send or a delta against the agent's acknowledged epoch, followed by
 // any number of "<unit> <attempt>" records — into a local queue; worker
-// threads pull, execute Campaign::RunUnit under the dispatched snapshot,
-// and push "<unit> <attempt>\n" + SerializeUnitResult records into a shared
-// outbox that one worker at a time drains into kResultBatch frames (socket
-// writes serialized by a mutex), so a burst of completions costs one frame,
-// not one frame each. A delta against an epoch the agent does not hold is
+// threads pull, execute Campaign::RunUnit under the freshest snapshot the
+// agent holds, send a kConfirm frame for each confirmation the moment it is
+// made, and push "<unit> <attempt> <epoch>\n" + SerializeUnitResult records
+// into a shared outbox that one worker at a time drains into kResultBatch
+// frames (socket writes serialized by a mutex), so a burst of completions
+// costs one frame, not one frame each. A unit's confirmations always precede
+// its result on the connection. A delta against an epoch the agent does not hold is
 // *refused*: the units are returned in a kSnapshotNack (never executed
 // under a set the agent cannot prove current) and the coordinator falls
 // back to a full snapshot resend. A heartbeat thread sends an empty

@@ -12,14 +12,12 @@
 #include <cmath>
 #include <cstdlib>
 #include <map>
-#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "src/common/error.h"
 #include "src/common/logging.h"
-#include "src/conf/conf_agent.h"
 #include "src/common/strings.h"
 #include "src/core/campaign_agent.h"
 #include "src/core/fabric_wire.h"
@@ -37,6 +35,7 @@ namespace {
 struct Lease {
   int attempt = 0;
   uint64_t sequence = 0;  // dispatch order across the whole campaign
+  int64_t epoch = 0;      // snapshot epoch its dispatch batch installed
   double dispatch_seconds = 0.0;
   double deadline_seconds = 0.0;  // watchdog budget (0 = no deadline)
 };
@@ -51,10 +50,10 @@ struct AgentConn {
   std::map<size_t, Lease> leases;
 
   // Snapshot-delta bookkeeping: the epoch (and set) this agent holds, as
-  // far as the coordinator knows. -1 = holds nothing (fresh connection, or
-  // a nack told us its state is unprovable) — the next dispatch is a full
-  // send. Updated optimistically after a successful batch write; a wrong
-  // guess is harmless because the agent nacks anything it cannot apply.
+  // far as the coordinator knows. -1 = holds nothing provable (fresh
+  // connection, or a nack said so) — the next dispatch is a full send.
+  // Updated optimistically after a successful batch write; a wrong guess is
+  // harmless because the agent nacks anything it cannot apply.
   int64_t snap_epoch = -1;
   std::set<std::string> snap_set;
 };
@@ -238,7 +237,7 @@ CampaignReport RunDistributedCampaign(
                      : ReadFabricFrame(fd, &type, &payload);
       if (hello_status == FabricRead::kVersionMismatch) {
         // An intact frame from another protocol era — refuse it by name. An
-        // older peer cannot parse a v2 reject frame, but it does see the
+        // older peer cannot parse a v3 reject frame, but it does see the
         // close and gives up; a future peer reads the reason verbatim.
         ZLOG_WARN << "distributed campaign: connector speaks a different "
                      "wire protocol version; rejecting";
@@ -299,20 +298,21 @@ CampaignReport RunDistributedCampaign(
 
     // ---- Dispatch / fold loop -----------------------------------------------
 
-    // Snapshot delta state. The coordinator-side epoch ticks whenever the
-    // globally-unsafe set changes (it only ever grows today, but the delta
-    // encoding carries removals too); each AgentConn remembers the epoch it
-    // last successfully sent, so steady-state dispatches carry a few bytes
-    // of delta instead of the whole set. Every result arrives stamped with
-    // the epoch of the snapshot it actually executed under (the agent reads
-    // the freshest applied set at execution start, not at dispatch), and is
-    // buffered with that epoch's set from epoch_sets — one entry per
-    // distinct set the campaign ever produced, never pruned (bounded by the
-    // number of unsafe params found).
-    int64_t coord_epoch = 0;
-    std::set<std::string> coord_set;
+    // Snapshot epochs. Each dispatch batch carries the projection of the
+    // smallest unit its agent will hold: the batch's units and the agent's
+    // live leases. A projection never holds more for a smaller unit, so the
+    // set is no larger than any of those units' own projections, and a
+    // re-dispatched cursor unit runs under exactly the folded set. A set that
+    // differs from what the agent holds gets a new epoch and travels as a
+    // delta against the agent's acknowledged one. Every result arrives
+    // stamped with the epoch it actually ran under (the agent reads the
+    // freshest set it holds at execution start, never older than its
+    // lease's), and is buffered with that epoch's set from epoch_sets.
+    // Epochs below every live lease's and every live agent's current one can
+    // never be named again (a K section reuses the agent's current epoch),
+    // so they are dropped after each dispatch pass.
+    int64_t last_epoch = 0;
     std::map<int64_t, std::set<std::string>> epoch_sets;
-    epoch_sets[0] = {};
     std::vector<double> completion_seconds;
     uint64_t next_sequence = 0;
 
@@ -322,6 +322,16 @@ CampaignReport RunDistributedCampaign(
         alive += agent.alive ? 1 : 0;
       }
       return alive;
+    };
+
+    // Ends leases without a result: their confirmations are withdrawn and
+    // their units re-queued.
+    auto expire_leases = [&](std::vector<size_t> units, bool charge) {
+      for (size_t unit_index : units) {
+        coordinator.Withdraw(unit_index);
+      }
+      expired_leases += static_cast<int64_t>(units.size());
+      coordinator.Requeue(std::move(units), charge);
     };
 
     // Retiring an agent is all-or-nothing: every lease it held expires, the
@@ -340,7 +350,6 @@ CampaignReport RunDistributedCampaign(
       }
       agent.leases.clear();
       std::sort(held.begin(), held.end());
-      expired_leases += static_cast<int64_t>(held.size());
       const size_t charged =
           hung ? std::min(held.size(), static_cast<size_t>(agent.threads))
                : held.size();
@@ -349,8 +358,8 @@ CampaignReport RunDistributedCampaign(
       for (size_t i = 0; i < held.size(); ++i) {
         (i < charged ? running : waiting).push_back(held[i].second);
       }
-      coordinator.Requeue(std::move(waiting), /*charge=*/false);
-      coordinator.Requeue(std::move(running), /*charge=*/true);
+      expire_leases(std::move(waiting), /*charge=*/false);
+      expire_leases(std::move(running), /*charge=*/true);
       if (agent.fd >= 0) {
         ::close(agent.fd);
         agent.fd = -1;
@@ -365,57 +374,9 @@ CampaignReport RunDistributedCampaign(
                 << reason << ", " << alive_agents() << " remaining";
     };
 
-    // The fabric's remedy for a condemned result: re-run the unit right
-    // here once the fold reaches it. At the cursor the fold has folded every
-    // predecessor, so folder().globally_unsafe() IS the exact set a
-    // sequential campaign would hand this unit; the re-run is final (never
-    // condemned again) and skips the redispatch round-trip that would
-    // otherwise stall the fold. The engine is built lazily (most campaigns at
-    // depth 1 never need it) with the resolved options, so it keeps the
-    // campaign's cache setting: Campaign turns the run cache on whenever the
-    // equivalence layer is on, and then this engine has a private cache of
-    // its own. Its per-unit cache deltas fold into the report but are
-    // replaced by the agents' farewell totals whenever the cache is on.
-    std::unique_ptr<ScopedThreadConfAgent> local_scope;
-    std::unique_ptr<Campaign> local_engine;
-    auto rerun_exact = [&](size_t unit_index) {
-      if (!local_engine) {
-        local_scope = std::make_unique<ScopedThreadConfAgent>();
-        local_engine = std::make_unique<Campaign>(schema, corpus, resolved);
-      }
-      return local_engine->RunUnit(*units[unit_index].test,
-                                   coordinator.folder().globally_unsafe());
-    };
-
-    auto advance_fold = [&]() {
-      while (coordinator.Advance()) {
-        const size_t cursor = coordinator.cursor();
-        ZLOG_INFO << "distributed campaign: re-running unit "
-                  << units[cursor].test->id
-                  << " locally (stale globally-unsafe snapshot)";
-        coordinator.Buffer(cursor, rerun_exact(cursor),
-                           coordinator.folder().globally_unsafe());
-      }
-      coordinator.FlushJournal();
-    };
-
     while (coordinator.Active()) {
       if (alive_agents() == 0) {
         throw Error("distributed campaign: all agents died");
-      }
-
-      // Refresh the epoch before dispatching. An agent applies whatever
-      // snapshot it last received and its workers read it at execution
-      // start, so any epoch a result can carry names a set the coordinator
-      // folded at some earlier point — always a subset of the current
-      // globally-unsafe set (the fold only grows it). The coordinator's
-      // fold-point check condemns anything that missed a param and
-      // advance_fold re-runs it, so findings stay bitwise-identical while
-      // far fewer units *are* stale.
-      if (coordinator.folder().globally_unsafe() != coord_set) {
-        coord_set = coordinator.folder().globally_unsafe();
-        ++coord_epoch;
-        epoch_sets[coord_epoch] = coord_set;
       }
 
       // Dispatch: fill every agent up to its pipelined lease capacity
@@ -436,41 +397,58 @@ CampaignReport RunDistributedCampaign(
                coordinator.TakeNext(&next)) {
           picked.push_back(next);
         }
-        if (picked.empty() &&
-            (agent.snap_epoch == coord_epoch || agent.leases.empty())) {
-          // Nothing to send and nothing in flight that an epoch bump could
-          // freshen — an idle agent learns the new set with its next unit.
+        // Leases past the agent's first `threads` wait in its queue; only
+        // they can still start under a newer set.
+        const bool holds_queued =
+            agent.leases.size() > static_cast<size_t>(agent.threads);
+        if (picked.empty() && !holds_queued) {
           continue;
         }
-        // picked may be empty here: a full agent whose snapshot fell behind
-        // gets a unit-less broadcast batch, so the leases already queued on
-        // it execute under the newer set instead of re-running as stale.
+        size_t lowest = units.size();
+        for (size_t unit_index : picked) {
+          lowest = std::min(lowest, unit_index);
+        }
+        if (!agent.leases.empty()) {
+          lowest = std::min(lowest, agent.leases.begin()->first);
+        }
+        std::set<std::string> projected = coordinator.Project(lowest);
+        const bool keep = agent.snap_epoch >= 0 && projected == agent.snap_set;
+        if (picked.empty() && keep) {
+          continue;  // the queued leases already hold this set
+        }
+        // picked may be empty here: a unit-less broadcast batch, so the
+        // leases queued on the agent start under the newer set.
         std::string snapshot_record;
-        if (agent.snap_epoch < 0) {
-          // Fresh connection (or a nack voided its state): full send.
+        int64_t epoch = agent.snap_epoch;
+        if (keep) {
           snapshot_record =
-              "-1 " + Int64ToString(coord_epoch) + " F\n" +
-              StrJoin(
-                  std::vector<std::string>(coord_set.begin(), coord_set.end()),
-                  ",");
-        } else if (agent.snap_epoch == coord_epoch) {
-          snapshot_record = Int64ToString(coord_epoch) + " " +
-                            Int64ToString(coord_epoch) + " K\n";
+              Int64ToString(epoch) + " " + Int64ToString(epoch) + " K\n";
         } else {
-          std::vector<std::string> delta;
-          for (const std::string& param : coord_set) {
-            if (agent.snap_set.count(param) == 0) {
-              delta.push_back("+" + param);
+          epoch = ++last_epoch;
+          epoch_sets[epoch] = projected;
+          if (agent.snap_epoch < 0) {
+            // Fresh connection (or a nack voided its state): full send.
+            snapshot_record =
+                "-1 " + Int64ToString(epoch) + " F\n" +
+                StrJoin(std::vector<std::string>(projected.begin(),
+                                                 projected.end()),
+                        ",");
+          } else {
+            std::vector<std::string> delta;
+            for (const std::string& param : projected) {
+              if (agent.snap_set.count(param) == 0) {
+                delta.push_back("+" + param);
+              }
             }
-          }
-          for (const std::string& param : agent.snap_set) {
-            if (coord_set.count(param) == 0) {
-              delta.push_back("-" + param);
+            for (const std::string& param : agent.snap_set) {
+              if (projected.count(param) == 0) {
+                delta.push_back("-" + param);
+              }
             }
+            snapshot_record = Int64ToString(agent.snap_epoch) + " " +
+                              Int64ToString(epoch) + " D\n" +
+                              StrJoin(delta, ",");
           }
-          snapshot_record = Int64ToString(agent.snap_epoch) + " " +
-                            Int64ToString(coord_epoch) + " D\n" +
-                            StrJoin(delta, ",");
         }
         std::string batch;
         AppendBatchRecord(&batch, snapshot_record);
@@ -487,6 +465,7 @@ CampaignReport RunDistributedCampaign(
           Lease lease;
           lease.attempt = coordinator.attempt(unit_index);
           lease.sequence = next_sequence++;
+          lease.epoch = epoch;
           lease.dispatch_seconds = t;
           lease.deadline_seconds = deadline;
           agent.leases[unit_index] = lease;
@@ -500,12 +479,25 @@ CampaignReport RunDistributedCampaign(
           retire_agent(agent, "died at dispatch");
           continue;
         }
-        agent.snap_epoch = coord_epoch;
-        agent.snap_set = coord_set;
+        agent.snap_epoch = epoch;
+        agent.snap_set = std::move(projected);
       }
       if (alive_agents() == 0) {
         continue;  // top of loop throws with the precise error
       }
+      int64_t oldest_epoch = last_epoch;
+      for (const AgentConn& agent : fleet.agents) {
+        if (!agent.alive) {
+          continue;
+        }
+        if (agent.snap_epoch >= 0) {
+          oldest_epoch = std::min(oldest_epoch, agent.snap_epoch);
+        }
+        for (const auto& [unit_index, lease] : agent.leases) {
+          oldest_epoch = std::min(oldest_epoch, lease.epoch);
+        }
+      }
+      epoch_sets.erase(epoch_sets.begin(), epoch_sets.lower_bound(oldest_epoch));
 
       // Bounded poll keeps the cancel flag, watchdog, and heartbeat checks
       // responsive even when no frame arrives.
@@ -548,6 +540,24 @@ CampaignReport RunDistributedCampaign(
           agent.last_heartbeat = SteadySeconds();
           continue;
         }
+        if (type == FabricMsg::kConfirm) {
+          // Counted by the next projection. Matching is by live lease, so a
+          // confirmation from an attempt already ended is as idempotent as a
+          // stale result.
+          size_t unit_index = 0;
+          int attempt = 0;
+          std::string param;
+          if (!DecodeConfirm(payload, &unit_index, &attempt, &param)) {
+            retire_agent(agent, "sent a malformed confirmation");
+            continue;
+          }
+          auto lease_it = agent.leases.find(unit_index);
+          if (lease_it != agent.leases.end() &&
+              lease_it->second.attempt == attempt) {
+            coordinator.Confirm(unit_index, param);
+          }
+          continue;
+        }
         if (type == FabricMsg::kSnapshotNack) {
           // The agent refused units it could not prove a current snapshot
           // for (epoch mismatch — injected or real). Each refused lease
@@ -576,8 +586,7 @@ CampaignReport RunDistributedCampaign(
             refused.push_back(static_cast<size_t>(unit_index));
           }
           agent.snap_epoch = -1;
-          expired_leases += static_cast<int64_t>(refused.size());
-          coordinator.Requeue(std::move(refused), /*charge=*/true);
+          expire_leases(std::move(refused), /*charge=*/true);
           continue;
         }
         if (type != FabricMsg::kResultBatch) {
@@ -623,11 +632,15 @@ CampaignReport RunDistributedCampaign(
             break;
           }
           if (epoch_sets.count(result_epoch) == 0) {
-            // An epoch this coordinator never issued cannot name a valid
-            // snapshot — the peer is provably broken, not merely stale.
+            // An epoch this coordinator never issued, or one older than
+            // every live lease's (dropped after the dispatch pass), cannot
+            // name the snapshot the unit ran under — the peer is provably
+            // broken, not merely stale.
             retire_agent(agent, "reported an unknown snapshot epoch");
             break;
           }
+          // The result's confirmations are already recorded: its agent
+          // streamed each one before the result.
           completion_seconds.push_back(SteadySeconds() -
                                        lease_it->second.dispatch_seconds);
           coordinator.Buffer(parsed_index, std::move(unit),
@@ -668,7 +681,12 @@ CampaignReport RunDistributedCampaign(
         }
       }
 
-      advance_fold();
+      // Fold, then send every condemned result back to the agents: the
+      // re-queued units go to the head of the queue, and the cursor unit
+      // among them is dispatched under the exact folded set.
+      coordinator.Advance();
+      coordinator.Rerun(coordinator.Condemned());
+      coordinator.FlushJournal();
     }
 
     // ---- Graceful shutdown --------------------------------------------------

@@ -10,7 +10,9 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
+#include <utility>
 
 #include "src/common/strings.h"
 #include "src/core/worker_ipc.h"
@@ -187,6 +189,54 @@ bool DecodeBatchRecords(const std::string& payload,
     records->emplace_back(payload, body, static_cast<size_t>(length));
     pos = body + static_cast<size_t>(length);
   }
+  return true;
+}
+
+std::string EncodeConfirm(size_t unit, int attempt, const std::string& param) {
+  return std::to_string(unit) + " " + std::to_string(attempt) + "\n" + param;
+}
+
+bool DecodeConfirm(const std::string& payload, size_t* unit, int* attempt,
+                   std::string* param) {
+  // Digits only, at most INT32_MAX, so a sign, a stray space or an overflow
+  // fails closed instead of naming some other lease.
+  auto parse = [](const std::string& digits, uint64_t* value) {
+    if (digits.empty()) {
+      return false;
+    }
+    *value = 0;
+    for (char c : digits) {
+      if (c < '0' || c > '9') {
+        return false;
+      }
+      *value = *value * 10 + static_cast<uint64_t>(c - '0');
+      if (*value > static_cast<uint64_t>(INT32_MAX)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const size_t newline = payload.find('\n');
+  if (newline == std::string::npos) {
+    return false;
+  }
+  const size_t space = payload.find(' ');
+  if (space == std::string::npos || space > newline) {
+    return false;
+  }
+  uint64_t unit_value = 0;
+  uint64_t attempt_value = 0;
+  if (!parse(payload.substr(0, space), &unit_value) ||
+      !parse(payload.substr(space + 1, newline - space - 1), &attempt_value)) {
+    return false;
+  }
+  std::string name = payload.substr(newline + 1);
+  if (name.empty() || name.find('\n') != std::string::npos) {
+    return false;
+  }
+  *unit = static_cast<size_t>(unit_value);
+  *attempt = static_cast<int>(attempt_value);
+  *param = std::move(name);
   return true;
 }
 

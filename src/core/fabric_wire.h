@@ -29,8 +29,10 @@
 // matrix).
 //
 // Version 2 (the batched data plane) added kDispatchBatch / kResultBatch /
-// kSnapshotNack and sends header+payload with one writev(2) per frame. A v1
-// peer's frames surface as kVersionMismatch and are refused at the
+// kSnapshotNack and sends header+payload with one writev(2) per frame.
+// Version 3 added kConfirm: an agent streams each confirmation while the
+// unit still runs, so the coordinator projects every dispatch from it. An
+// older peer's frames surface as kVersionMismatch and are refused at the
 // handshake; past the handshake both ends are proven same-version.
 //
 // Writers must run under ScopedIgnoreSigPipe (worker_ipc.h): a send on a
@@ -40,16 +42,18 @@
 #ifndef SRC_CORE_FABRIC_WIRE_H_
 #define SRC_CORE_FABRIC_WIRE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace zebra {
 
-// Version 2: batched frames (kDispatchBatch/kResultBatch), snapshot delta
-// encoding with epoch acknowledgement (kSnapshotNack), vectored frame
-// writes. v1 peers are refused at the handshake.
-inline constexpr uint32_t kFabricProtocolVersion = 2;
+// Version 3: streamed confirmations (kConfirm) on top of v2's batched
+// frames (kDispatchBatch/kResultBatch), snapshot delta encoding with epoch
+// acknowledgement (kSnapshotNack) and vectored frame writes. v1 and v2
+// peers are refused at the handshake.
+inline constexpr uint32_t kFabricProtocolVersion = 3;
 
 // Largest payload a well-formed peer ever sends (a batched frame carries at
 // most a few hundred serialized UnitWorkResults, each a few KB). A size
@@ -70,6 +74,8 @@ enum class FabricMsg : uint32_t {
   kDispatchBatch = 9,   // coord -> agent: snapshot epoch section + N units
   kResultBatch = 10,    // agent -> coord: N completed results in one frame
   kSnapshotNack = 11,   // agent -> coord: epoch mismatch; units need redispatch
+  // --- v3 ----------------------------------------------------------------------
+  kConfirm = 12,  // agent -> coord: one confirmation a running lease just made
 };
 
 enum class FabricRead {
@@ -109,6 +115,21 @@ void AppendBatchRecord(std::string* payload, const std::string& record);
 // garbled frame: the peer is broken.
 bool DecodeBatchRecords(const std::string& payload,
                         std::vector<std::string>* records);
+
+// --- Confirmation record ----------------------------------------------------
+//
+// A kConfirm payload is "<unit> <attempt>\n<param>": the lease (unit index
+// and attempt, in decimal) and one parameter it confirmed unsafe. An agent
+// sends one per confirmation, in confirmation order, before the unit's
+// result record.
+
+std::string EncodeConfirm(size_t unit, int attempt, const std::string& param);
+
+// Parses a kConfirm payload. Returns false unless the head is exactly two
+// decimal numbers (no sign, no spaces around them) and the parameter is
+// non-empty and free of newlines; the caller then treats the peer as broken.
+bool DecodeConfirm(const std::string& payload, size_t* unit, int* attempt,
+                   std::string* param);
 
 // --- TCP plumbing -----------------------------------------------------------
 

@@ -119,12 +119,26 @@ void FoldCoordinator::Requeue(std::vector<size_t> units, bool charge) {
   }
 }
 
+void FoldCoordinator::Confirm(size_t unit, const std::string& param) {
+  auto [entry, inserted] = pending_.try_emplace(unit);
+  if (inserted) {
+    entry->second.test_id = units_[unit].test->id;
+  }
+  entry->second.confirmed.push_back(param);
+}
+
+void FoldCoordinator::Withdraw(size_t unit) { pending_.erase(unit); }
+
+std::set<std::string> FoldCoordinator::Project(size_t unit) const {
+  return folder_.ProjectGloballyUnsafe(pending_, unit);
+}
+
 void FoldCoordinator::Buffer(size_t unit, UnitWorkResult result,
                              std::set<std::string> snapshot) {
   buffered_[unit] = BufferedResult{std::move(result), std::move(snapshot)};
 }
 
-bool FoldCoordinator::Advance() {
+void FoldCoordinator::Advance() {
   while (cursor_ < units_.size() && !stopped_) {
     if (poisoned_.count(cursor_) > 0) {
       UnitWorkResult stub;
@@ -134,12 +148,10 @@ bool FoldCoordinator::Advance() {
       continue;
     }
     auto it = buffered_.find(cursor_);
-    if (it == buffered_.end()) {
-      return false;
-    }
-    if (folder_.CheckSnapshot(it->second.unit, it->second.snapshot) !=
-        CampaignFolder::SnapshotCheck::kAgrees) {
-      return true;
+    if (it == buffered_.end() ||
+        folder_.CheckSnapshot(it->second.unit, it->second.snapshot) !=
+            CampaignFolder::SnapshotCheck::kAgrees) {
+      break;
     }
     UnitWorkResult unit = std::move(it->second.unit);
     buffered_.erase(it);
@@ -149,7 +161,7 @@ bool FoldCoordinator::Advance() {
       stopped_ = true;
     }
   }
-  return false;
+  pending_.erase(pending_.begin(), pending_.lower_bound(cursor_));
 }
 
 std::vector<std::pair<size_t, const char*>> FoldCoordinator::Condemned() const {
@@ -178,6 +190,7 @@ void FoldCoordinator::Rerun(
     ZLOG_INFO << name_ << ": re-running unit " << units_[index].test->id
               << " (" << reason << ")";
     buffered_.erase(index);
+    pending_.erase(index);
     queue_.push_front(index);
   }
 }

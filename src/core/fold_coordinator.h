@@ -14,6 +14,8 @@
 //   * the crash-safe journal (campaign_journal.h): a resumed campaign replays
 //     the valid prefix through the fold, and every later fold is appended;
 //   * the results buffered ahead of the cursor, each with its snapshot;
+//   * the confirmations of units not yet folded, and the snapshot each
+//     dispatch projects from them;
 //   * the fold-point check (CampaignFolder::CheckSnapshot);
 //   * the dispatch queue: attempts, capped exponential backoff, quarantine,
 //     and the empty stub a quarantined unit folds as;
@@ -33,20 +35,31 @@
 //     be condemned wherever it sits in the buffer.
 //   * Over-projection is final only at the cursor: a fold still to come may
 //     confirm the extra parameter before the cursor gets there.
-//   * A snapshot copied from the folded prefix (the fabric's epochs) is a
-//     subset of every later folded set, so it can only be under-projected.
 // A wrong snapshot therefore costs a re-run, never a finding.
 //
-// The transport keeps how a unit travels, its own counters, and the remedy
-// for a condemned result: the pool re-queues every condemned result
-// (Condemned + Rerun), the fabric re-runs the cursor unit itself under the
-// exact set and buffers that (Advance returns true when it is stuck there).
+// Projection. Both transports dispatch a unit under Project(unit): the
+// folded set plus what the confirmations of earlier units not yet folded
+// push to the threshold. Transports record each confirmation as a running
+// attempt makes it (Confirm) and drop an attempt's confirmations when it
+// ends without a result (Withdraw); Advance drops them once their unit
+// folds and Rerun once its result is condemned. A projection counts
+// confirmations that may still be withdrawn, so it can be over-projected;
+// it can miss confirmations not yet reported, so it can be under-projected.
+// At the cursor it is the exact folded set. Project(i) never holds more
+// than Project(j) for i < j, so a set projected for the smallest of several
+// units is safe for all of them (the fabric sends one set per agent).
+//
+// The transport keeps how a unit travels and its own counters. The remedy
+// for a condemned result is the same for both: Condemned + Rerun put the
+// unit back at the head of the queue, and a cursor unit re-dispatched from
+// there runs under the exact set and folds.
 //
 // The coordinator is not internally synchronized. A transport that calls it
 // from several threads serializes, under one lock, every call that reads or
-// changes the queue, the attempts or the folded set (TakeNext, attempt,
-// Requeue, Rerun, Advance, folder()). Buffered results and the journal are
-// touched only by the thread that folds.
+// changes the queue, the attempts, the recorded confirmations or the folded
+// set (TakeNext, attempt, Requeue, Confirm, Withdraw, Project, Rerun,
+// Advance, folder()). Buffered results and the journal are touched only by
+// the thread that folds.
 
 #ifndef SRC_CORE_FOLD_COORDINATOR_H_
 #define SRC_CORE_FOLD_COORDINATOR_H_
@@ -142,6 +155,20 @@ class FoldCoordinator {
   // after their k-th failure. Without `charge` they may go at once.
   void Requeue(std::vector<size_t> units, bool charge);
 
+  // ---- Projection ----------------------------------------------------------
+
+  // Records that the current attempt of `unit`, which the fold has not
+  // reached, confirmed `param`.
+  void Confirm(size_t unit, const std::string& param);
+
+  // Drops every confirmation recorded for `unit`: its attempt ended without
+  // a result.
+  void Withdraw(size_t unit);
+
+  // The globally-unsafe set to dispatch `unit` under
+  // (CampaignFolder::ProjectGloballyUnsafe over the recorded confirmations).
+  std::set<std::string> Project(size_t unit) const;
+
   // ---- Fold ----------------------------------------------------------------
 
   // Buffers a unit's result with the globally-unsafe set it ran under.
@@ -149,17 +176,18 @@ class FoldCoordinator {
               std::set<std::string> snapshot);
 
   // Folds at the cursor while it can: quarantined units as stubs, buffered
-  // results whose snapshot agrees with the fold-point set. Returns true when
-  // it stopped at a buffered result that disagrees, which stays buffered.
-  bool Advance();
+  // results whose snapshot agrees with the fold-point set. Stops at a
+  // buffered result that disagrees, which stays buffered. Drops the
+  // confirmations of every unit it folded.
+  void Advance();
 
   // Buffered results that can never fold as they are, with the reason:
   // under-projected ones anywhere, an over-projected one at the cursor.
   std::vector<std::pair<size_t, const char*>> Condemned() const;
 
   // Drops each condemned result (in the ascending order Condemned lists
-  // them) and puts its unit back at the head of the queue, in canonical
-  // order, at no attempt cost.
+  // them) with its confirmations and puts its unit back at the head of the
+  // queue, in canonical order, at no attempt cost.
   void Rerun(const std::vector<std::pair<size_t, const char*>>& condemned);
 
   // Appends to the journal every fold made since the last call. Advance only
@@ -200,6 +228,8 @@ class FoldCoordinator {
   std::vector<std::pair<size_t, UnitWorkResult>> unjournaled_;
 
   std::map<size_t, BufferedResult> buffered_;
+  // Confirmations of units the fold has not reached, by unit index.
+  std::map<size_t, CampaignFolder::PendingUnit> pending_;
 
   std::deque<size_t> queue_;
   std::vector<int> attempts_;

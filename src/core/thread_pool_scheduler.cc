@@ -6,7 +6,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -70,14 +69,11 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
   // ---- Shared dispatch state (guarded by queue_mutex) -----------------------
   std::mutex queue_mutex;
   std::condition_variable queue_cv;  // workers wait here for work / stop
-  // Confirmations of units the fold has not reached, by unit index. A running
-  // attempt reports each one as it confirms it; delivery replaces the list
-  // with the delivered one; the critical section that folds, discards or
-  // fails the attempt erases it. Each dispatch projects its snapshot from
-  // these plus the folder's state (CampaignFolder::ProjectGloballyUnsafe), so
-  // every Fold also runs under queue_mutex: a confirmation is always either
-  // pending or folded when a dispatch looks.
-  std::map<size_t, CampaignFolder::PendingUnit> pending;
+  // A running attempt records each confirmation with the coordinator as it
+  // makes it, and each dispatch projects its snapshot from them
+  // (FoldCoordinator::Project). Both run under queue_mutex, as does every
+  // Advance and Rerun that drops them, so a confirmation is always either
+  // recorded or folded when a dispatch looks.
   bool stop = false;
 
   // ---- Result delivery (lock-free slots + a wakeup cv) ----------------------
@@ -125,19 +121,11 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
           }
         }
         attempt = coordinator.attempt(unit_index);
-        snapshot = coordinator.folder().ProjectGloballyUnsafe(pending, unit_index);
+        snapshot = coordinator.Project(unit_index);
       }
 
       const WorkUnit& work = units[unit_index];
       ResultSlot& slot = slots[unit_index];
-      // Adds to this unit's pending confirmations; caller holds queue_mutex.
-      auto record_pending = [&](const std::string& param) {
-        auto [entry, inserted] = pending.try_emplace(unit_index);
-        if (inserted) {
-          entry->second.test_id = work.test->id;
-        }
-        entry->second.confirmed.push_back(param);
-      };
       slot.failed = false;
       slot.hang = false;
 
@@ -185,7 +173,7 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
           slot.unit = engine.RunUnit(
               *work.test, snapshot, [&](const UnitConfirmation& confirmation) {
                 std::lock_guard<std::mutex> lock(queue_mutex);
-                record_pending(confirmation.param);
+                coordinator.Confirm(unit_index, confirmation.param);
               });
           slot.snapshot = std::move(snapshot);
         } catch (const std::exception& e) {
@@ -197,18 +185,12 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
         }
       }
 
-      // Hand the confirmations from running to delivered before publishing,
-      // so the coordinator cannot fold or discard the result first. The
-      // delivered list replaces the reported one; a failed attempt withdraws
-      // what it reported.
-      {
+      // A delivered result's confirmations are already recorded, one by one
+      // as they were made. A failed attempt withdraws what it recorded before
+      // publishing, so the coordinator cannot re-queue the unit first.
+      if (slot.failed) {
         std::lock_guard<std::mutex> lock(queue_mutex);
-        pending.erase(unit_index);
-        if (!slot.failed) {
-          for (const UnitConfirmation& confirmation : slot.unit.confirmations) {
-            record_pending(confirmation.param);
-          }
-        }
+        coordinator.Withdraw(unit_index);
       }
 
       // Publish: payload writes above happen-before the release store;
@@ -310,21 +292,15 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
       }
     }
 
-    // Fold and retire the folded units' pending confirmations in one
-    // critical section; the journal is written after it.
+    // Fold, then re-queue every result the fold condemned; the journal is
+    // written after both.
     {
       std::lock_guard<std::mutex> lock(queue_mutex);
       coordinator.Advance();
-      pending.erase(pending.begin(), pending.lower_bound(coordinator.cursor()));
     }
-    // Re-queue every result the fold condemned, withdrawing its
-    // confirmations.
     std::vector<std::pair<size_t, const char*>> condemned = coordinator.Condemned();
     if (!condemned.empty()) {
       std::lock_guard<std::mutex> lock(queue_mutex);
-      for (const auto& [index, reason] : condemned) {
-        pending.erase(index);
-      }
       coordinator.Rerun(condemned);
       requeued = true;
     }

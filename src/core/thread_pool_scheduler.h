@@ -22,12 +22,13 @@
 // set plus every parameter that reaches the frequent-failure threshold once
 // the confirmations already seen from earlier units are counted — those
 // delivered but not yet folded, and those a still-running unit has reported
-// as it confirmed them (CampaignFolder::ProjectGloballyUnsafe). The
+// as it confirmed them (FoldCoordinator::Project). The
 // projection can miss a parameter (a confirmation not seen yet) or hold an
 // extra one (a confirmation from an attempt later withdrawn), so it is
 // neither a subset nor a superset of the exact set. The coordinator's
-// fold-point check settles it; the pool's remedy for a condemned result is
-// to re-queue it, and the whole condemned wave re-runs in parallel. A re-run
+// fold-point check settles it; the remedy for a condemned result, shared
+// with the fabric, is to re-queue it, and the whole condemned wave re-runs
+// in parallel. A re-run
 // at the fold cursor projects exactly the folded set. Findings, Table-5
 // stage counts, and runs_to_first_detection are bitwise-identical to
 // Campaign(...).Run() at every thread count.

@@ -15,14 +15,21 @@
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -31,6 +38,7 @@
 #include "src/core/distributed_campaign.h"
 #include "src/core/fabric_wire.h"
 #include "src/core/fault_injection.h"
+#include "src/core/report_io.h"
 #include "src/testkit/full_schema.h"
 #include "src/testkit/unit_test_registry.h"
 
@@ -237,18 +245,23 @@ TEST(FabricWireTest, VersionMismatchDistinguishedFromGarble) {
   ASSERT_GT(n, 28);
   wire.resize(static_cast<size_t>(n));
   ::close(fds[0]);
-  wire[4] = 0x01;  // version 1 of old; payload checksum is version-agnostic
 
-  int fds2[2];
-  ASSERT_EQ(::pipe(fds2), 0);
-  ASSERT_EQ(::write(fds2[1], wire.data(), wire.size()),
-            static_cast<ssize_t>(wire.size()));
-  ::close(fds2[1]);
-  FabricMsg type;
-  std::string payload;
-  EXPECT_EQ(ReadFabricFrame(fds2[0], &type, &payload),
-            FabricRead::kVersionMismatch);
-  ::close(fds2[0]);
+  // v1 (unbatched) and v2 (no kConfirm) peers alike; the payload checksum
+  // is version-agnostic.
+  for (char old_version : {'\x01', '\x02'}) {
+    SCOPED_TRACE(static_cast<int>(old_version));
+    wire[4] = old_version;
+    int fds2[2];
+    ASSERT_EQ(::pipe(fds2), 0);
+    ASSERT_EQ(::write(fds2[1], wire.data(), wire.size()),
+              static_cast<ssize_t>(wire.size()));
+    ::close(fds2[1]);
+    FabricMsg type;
+    std::string payload;
+    EXPECT_EQ(ReadFabricFrame(fds2[0], &type, &payload),
+              FabricRead::kVersionMismatch);
+    ::close(fds2[0]);
+  }
 }
 
 TEST(FabricWireTest, BatchRecordRoundTrip) {
@@ -281,6 +294,34 @@ TEST(FabricWireTest, BatchRecordRoundTrip) {
   // A truncated prefix of a valid payload must not decode.
   EXPECT_FALSE(DecodeBatchRecords(payload.substr(0, payload.size() - 1),
                                   &decoded));
+}
+
+TEST(FabricWireTest, ConfirmRecordRoundTripAndMalformedRejected) {
+  size_t unit = 0;
+  int attempt = 0;
+  std::string param;
+  const std::string payload = EncodeConfirm(17, 2, "dfs.heartbeat.interval");
+  EXPECT_EQ(payload, "17 2\ndfs.heartbeat.interval");
+  ASSERT_TRUE(DecodeConfirm(payload, &unit, &attempt, &param));
+  EXPECT_EQ(unit, 17u);
+  EXPECT_EQ(attempt, 2);
+  EXPECT_EQ(param, "dfs.heartbeat.interval");
+
+  // Shapes a checksum cannot catch: every one fails closed and leaves the
+  // outputs alone.
+  for (const std::string& bad : std::vector<std::string>{
+           "", "17 2", "17 2\n", "17\np", " 17 2\np", "17  2\np", "17 2 \np",
+           "-1 2\np", "17 -2\np", "+17 2\np", "x 2\np", "17 y\np",
+           "17 2\np\nq", "99999999999 0\np", "0 2147483648\np"}) {
+    SCOPED_TRACE(bad);
+    unit = 5;
+    attempt = 5;
+    param = "untouched";
+    EXPECT_FALSE(DecodeConfirm(bad, &unit, &attempt, &param));
+    EXPECT_EQ(unit, 5u);
+    EXPECT_EQ(attempt, 5);
+    EXPECT_EQ(param, "untouched");
+  }
 }
 
 TEST(FabricWireTest, TcpNoDelaySetOnAcceptedAndConnectedSockets) {
@@ -703,6 +744,131 @@ TEST(DistributedCampaignTest, GarbledBatchedFrameAtDepthFourBitwiseIdentical) {
   ExpectIdenticalResults(report, expected, "garbled batched frame, depth 4");
   EXPECT_GE(report.agent_disconnects, 1);
   EXPECT_GE(report.expired_leases, 1);
+}
+
+TEST(DistributedCampaignTest, OneAgentSpendsOneCacheLookupPerLogicalRun) {
+  // One agent with one thread at the default depth holds one lease at a
+  // time, and the next unit goes out only after the previous result is in:
+  // every earlier confirmation is folded or recorded, so each projected
+  // snapshot is the exact sequential set. No attempt is discarded, and every
+  // cache lookup serves a folded run.
+  CampaignOptions options;  // all apps
+  options.enable_run_cache = true;
+  options.enable_equiv_cache = true;
+  DistributedCampaignOptions fabric;
+  fabric.agents = 1;
+  fabric.agent_threads = 1;
+  CampaignReport report = RunFabric(options, fabric);
+  ExpectIdenticalResults(report, SequentialReference(options), "one agent");
+  EXPECT_EQ(report.cache_hits + report.cache_misses + report.equiv_hits,
+            report.total_unit_test_runs);
+}
+
+// --- One agent, driven frame by frame ----------------------------------------
+
+// Waits up to `seconds` for a frame on `fd`; kError when none arrives.
+FabricRead ReadFrameWithin(int fd, double seconds, FabricMsg* type,
+                           std::string* payload) {
+  struct pollfd pfd = {fd, POLLIN, 0};
+  int ready;
+  do {
+    ready = ::poll(&pfd, 1, static_cast<int>(seconds * 1000.0));
+  } while (ready < 0 && errno == EINTR);
+  return ready > 0 ? ReadFabricFrame(fd, type, payload) : FabricRead::kError;
+}
+
+TEST(CampaignAgentTest, ConfirmationsStreamAheadOfTheirResult) {
+  // The test plays the coordinator for one forked agent: it dispatches every
+  // unit of the small campaign under the empty set and checks that each
+  // unit's kConfirm frames arrive before its result record and list, in
+  // order, exactly the result's confirmations.
+  const CampaignOptions options = SmallCampaign();
+  size_t unit_count = 0;
+  for (const std::string& app : options.apps) {
+    unit_count += FullCorpus().ForApp(app).size();
+  }
+
+  uint16_t port = 0;
+  int listen_fd = ListenTcp("127.0.0.1", 0, &port);
+  ASSERT_GE(listen_fd, 0);
+  pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(listen_fd);
+    CampaignAgentOptions agent;
+    agent.port = port;
+    std::_Exit(RunCampaignAgent(FullSchema(), FullCorpus(), options, agent));
+  }
+  // Every way out of the test kills and reaps the agent unless it exited.
+  struct Reaper {
+    pid_t pid;
+    ~Reaper() {
+      if (pid > 0) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, nullptr, 0);
+      }
+    }
+  } agent_process{pid};
+  int fd = AcceptTcp(listen_fd);
+  ::close(listen_fd);
+  ASSERT_GE(fd, 0);
+
+  FabricMsg type;
+  std::string payload;
+  ASSERT_EQ(ReadFrameWithin(fd, 10.0, &type, &payload), FabricRead::kOk);
+  ASSERT_EQ(type, FabricMsg::kHello);
+  ASSERT_TRUE(WriteFabricFrame(fd, FabricMsg::kWelcome, "0\n0.2"));
+  std::string batch;
+  AppendBatchRecord(&batch, "-1 1 F\n");  // the empty set, as epoch 1
+  for (size_t unit = 0; unit < unit_count; ++unit) {
+    AppendBatchRecord(&batch, std::to_string(unit) + " 0");
+  }
+  ASSERT_TRUE(WriteFabricFrame(fd, FabricMsg::kDispatchBatch, batch));
+
+  std::map<size_t, std::vector<std::string>> streamed;
+  std::set<size_t> delivered;
+  size_t confirming_units = 0;
+  while (delivered.size() < unit_count) {
+    ASSERT_EQ(ReadFrameWithin(fd, 30.0, &type, &payload), FabricRead::kOk);
+    if (type == FabricMsg::kConfirm) {
+      size_t unit = 0;
+      int attempt = -1;
+      std::string param;
+      ASSERT_TRUE(DecodeConfirm(payload, &unit, &attempt, &param)) << payload;
+      EXPECT_EQ(attempt, 0);
+      EXPECT_EQ(delivered.count(unit), 0u) << "confirmation after its result";
+      streamed[unit].push_back(param);
+    } else if (type == FabricMsg::kResultBatch) {
+      std::vector<std::string> records;
+      ASSERT_TRUE(DecodeBatchRecords(payload, &records));
+      for (const std::string& record : records) {
+        const size_t newline = record.find('\n');
+        ASSERT_NE(newline, std::string::npos);
+        size_t unit_index = 0;
+        UnitWorkResult unit;
+        ASSERT_TRUE(ParseUnitResult(record.substr(newline + 1), &unit_index, &unit));
+        EXPECT_EQ(record.substr(0, newline), std::to_string(unit_index) + " 0 1");
+        std::vector<std::string> confirmed;
+        for (const UnitConfirmation& confirmation : unit.confirmations) {
+          confirmed.push_back(confirmation.param);
+        }
+        EXPECT_EQ(streamed[unit_index], confirmed) << unit.test_id;
+        confirming_units += confirmed.empty() ? 0 : 1;
+        delivered.insert(unit_index);
+      }
+    }
+  }
+  EXPECT_GE(confirming_units, 1u);
+
+  ASSERT_TRUE(WriteFabricFrame(fd, FabricMsg::kShutdown, std::string()));
+  do {
+    ASSERT_EQ(ReadFrameWithin(fd, 10.0, &type, &payload), FabricRead::kOk);
+  } while (type != FabricMsg::kStats);
+  ::close(fd);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  agent_process.pid = -1;
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
 }
 
 // --- Persistent agent cache -------------------------------------------------

@@ -282,10 +282,12 @@ TEST(FaultToleranceTest, PoisonedUnitQuarantinedAndCampaignCompletes) {
   // would burn agents on it forever. After two watchdog kills it must be
   // poisoned, folded as an empty stub, and the rest of the campaign must
   // still complete with the one surviving agent. Each hung agent also held
-  // a healthy unit queued behind the hang (pipeline depth 2); that unit was
-  // never running, so it goes back uncharged and is not poisoned.
+  // a healthy unit queued behind the hang (pipeline depth 2, pinned here
+  // because the default is 1); that unit was never running, so it goes back
+  // uncharged and is not poisoned.
   DistributedCampaignOptions fabric;
   fabric.agents = 3;
+  fabric.pipeline_depth = 2;
   FaultSpec hang;
   hang.kind = FaultKind::kHang;
   hang.test_id = "minikv.TestPutGet";

@@ -1,6 +1,7 @@
 // Tests for the FoldCoordinator on synthetic unit results: journal replay,
 // the attempt/backoff/quarantine policy, the fold-point check and the
-// condemned wave, and the abort hook. No unit test executes here; the
+// condemned wave, projection from recorded confirmations, and the abort
+// hook. No unit test executes here; the
 // coordinator is driven the way a transport drives it.
 
 #include "src/core/fold_coordinator.h"
@@ -9,6 +10,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -137,7 +139,7 @@ TEST(FoldCoordinatorTest, ChargesBackOffThenQuarantineIntoJournaledStub) {
   EXPECT_LT(release, 0.0);  // the queue is empty
 
   // At the cursor it folds as an empty stub, journaled like any fold.
-  EXPECT_FALSE(coordinator.Advance());
+  coordinator.Advance();
   EXPECT_EQ(coordinator.cursor(), 1u);
   const std::string id = coordinator.units()[0].test->id;
   CampaignReport report = coordinator.Finish();
@@ -181,7 +183,7 @@ TEST(FoldCoordinatorTest, CondemnsUnderProjectionAnywhereOverProjectionAtCursor)
   coordinator.Buffer(2, Result(coordinator, 2, {"p.a"}), {});
   // Unit 3 assumed p.b unsafe, which nothing confirmed: over-projected.
   coordinator.Buffer(3, Result(coordinator, 3, {"p.b"}), {"p.b"});
-  EXPECT_FALSE(coordinator.Advance());  // folds unit 0, then waits on unit 1
+  coordinator.Advance();  // folds unit 0, then waits on unit 1
   EXPECT_EQ(coordinator.cursor(), 1u);
   EXPECT_EQ(coordinator.folder().globally_unsafe(), std::set<std::string>{"p.a"});
 
@@ -191,9 +193,10 @@ TEST(FoldCoordinatorTest, CondemnsUnderProjectionAnywhereOverProjectionAtCursor)
   EXPECT_EQ(wave[0].first, 2u);
 
   // At the cursor an over-projected result is condemned too, and Advance
-  // reports that it is stuck on it.
+  // stops on it.
   coordinator.Buffer(1, Result(coordinator, 1, {"p.c"}), {"p.a", "p.c"});
-  EXPECT_TRUE(coordinator.Advance());
+  coordinator.Advance();
+  EXPECT_EQ(coordinator.cursor(), 1u);
   wave = coordinator.Condemned();
   ASSERT_EQ(wave.size(), 2u);
   EXPECT_EQ(wave[0].first, 1u);
@@ -206,9 +209,58 @@ TEST(FoldCoordinatorTest, CondemnsUnderProjectionAnywhereOverProjectionAtCursor)
   EXPECT_EQ(coordinator.attempt(1), 0);
   coordinator.Buffer(1, Result(coordinator, 1, {"p.a", "p.c"}),
                      coordinator.folder().globally_unsafe());
-  EXPECT_FALSE(coordinator.Advance());
+  coordinator.Advance();
   EXPECT_EQ(coordinator.cursor(), 2u);
   EXPECT_EQ(coordinator.Finish().requeued_units, 0);  // re-runs are not requeues
+}
+
+TEST(FoldCoordinatorTest, ProjectionCountsLowerUnitsUntilWithdrawnFoldedOrRerun) {
+  CampaignOptions options = MinikvOptions();
+  options.frequent_failure_threshold = 2;
+  FoldCoordinator coordinator(FullSchema(), FullCorpus(), options, FoldOptions{},
+                              "test");
+  ASSERT_GE(coordinator.units().size(), 5u);
+  Drain(coordinator);
+  using Set = std::set<std::string>;
+
+  // One test confirming p.a twice is one test: below the threshold.
+  coordinator.Confirm(1, "p.a");
+  coordinator.Confirm(1, "p.a");
+  EXPECT_EQ(coordinator.Project(4), Set{});
+
+  // A second test reaches it, but only for the units after both.
+  coordinator.Confirm(3, "p.a");
+  EXPECT_EQ(coordinator.Project(0), Set{});
+  EXPECT_EQ(coordinator.Project(3), Set{});
+  EXPECT_EQ(coordinator.Project(4), Set{"p.a"});
+
+  // A withdrawn attempt's confirmations drop out.
+  coordinator.Withdraw(3);
+  EXPECT_EQ(coordinator.Project(4), Set{});
+
+  // Advance drops what was recorded for every unit it folds: unit 1 folds
+  // with a result that confirmed nothing, so its recorded p.a stops counting.
+  coordinator.Confirm(2, "p.a");
+  EXPECT_EQ(coordinator.Project(3), Set{"p.a"});
+  coordinator.Buffer(0, Result(coordinator, 0), {});
+  coordinator.Buffer(1, Result(coordinator, 1), {});
+  coordinator.Advance();
+  ASSERT_EQ(coordinator.cursor(), 2u);
+  EXPECT_EQ(coordinator.Project(3), Set{});
+  EXPECT_EQ(coordinator.Project(2), coordinator.folder().globally_unsafe());
+
+  // Rerun withdraws a condemned result's confirmations: unit 2's result is
+  // over-projected at the cursor, so only unit 3's p.a is left.
+  coordinator.Confirm(3, "p.a");
+  EXPECT_EQ(coordinator.Project(4), Set{"p.a"});
+  coordinator.Buffer(2, Result(coordinator, 2, {"p.z"}, {"p.a"}), {"p.z"});
+  coordinator.Advance();
+  EXPECT_EQ(coordinator.cursor(), 2u);
+  std::vector<std::pair<size_t, const char*>> wave = coordinator.Condemned();
+  ASSERT_EQ(wave.size(), 1u);
+  coordinator.Rerun(wave);
+  EXPECT_EQ(coordinator.Project(4), Set{});
+  EXPECT_EQ(Drain(coordinator), std::vector<size_t>{2});
 }
 
 TEST(FoldCoordinatorTest, AbortAfterFoldsCountsLiveFoldsOnly) {
@@ -238,7 +290,7 @@ TEST(FoldCoordinatorTest, AbortAfterFoldsCountsLiveFoldsOnly) {
     coordinator.Buffer(index, Result(coordinator, index), {});
   }
   EXPECT_TRUE(coordinator.Active());
-  EXPECT_FALSE(coordinator.Advance());
+  coordinator.Advance();
   // Replayed unit 0 and the stub for unit 1 do not count; units 2 and 3 do.
   EXPECT_EQ(coordinator.cursor(), 4u);
   EXPECT_FALSE(coordinator.Active());
