@@ -72,13 +72,15 @@ void ConfAgent::BeginSession(TestPlan plan) {
   in_session_.store(true, std::memory_order_release);
 }
 
-void ConfAgent::BeginSessionBorrowed(const TestPlan* plan) {
+void ConfAgent::BeginSessionBorrowed(const TestPlan* plan,
+                                     SessionRecording recording) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (session_ != nullptr) {
     throw InternalError("ConfAgent session already active; sessions must be serialized");
   }
   session_ = std::make_unique<Session>();
   session_->plan = plan != nullptr ? plan : &session_->owned_plan;
+  session_->recording = recording == SessionRecording::kFull;
   in_session_.store(true, std::memory_order_release);
 }
 
@@ -228,8 +230,8 @@ void ConfAgent::RefToCloneConf(uint64_t orig_id, uint64_t clone_id) {
   }
 }
 
-std::optional<std::string> ConfAgent::ResolveEntityLocked(uint64_t conf_id,
-                                                          int* node_index) const {
+std::optional<std::string_view> ConfAgent::ResolveEntityLocked(
+    uint64_t conf_id, int* node_index) const {
   if (node_index != nullptr) {
     *node_index = -1;
   }
@@ -242,16 +244,23 @@ std::optional<std::string> ConfAgent::ResolveEntityLocked(uint64_t conf_id,
     return node.node_type;
   }
   if (session_->unit_test_conf_ids.count(conf_id) > 0) {
-    return std::string(kClientEntity);
+    return std::string_view(kClientEntity);
   }
   if (session_->uncertain_conf_ids.count(conf_id) > 0) {
-    return std::string(kUncertainEntity);
+    return std::string_view(kUncertainEntity);
   }
   return std::nullopt;
 }
 
 std::string_view ConfAgent::InternLocked(std::string_view name) {
   return intern_.Intern(name);
+}
+
+void ConfAgent::RecordBufferLocked(std::set<std::string>* set) {
+  auto it = set->lower_bound(record_buffer_);
+  if (it == set->end() || *it != record_buffer_) {
+    set->emplace_hint(it, record_buffer_);
+  }
 }
 
 std::string ConfAgent::InterceptGet(uint64_t conf_id, std::string_view name,
@@ -281,36 +290,46 @@ std::string ConfAgent::InterceptGet(uint64_t conf_id, std::string_view name,
     return current;
   }
 
+  // First read of this (conf, param) pair. A recording session renders each
+  // string into the agent's buffer and copies it into its set only when new;
+  // a verdict-only one renders nothing.
   ReadMemo memo;
-  std::string_view interned = InternLocked(name);
-  const std::string interned_str(interned);
+  const std::string_view interned = InternLocked(name);
+  SessionReport& report = session_->report;
   int node_index = -1;
-  std::optional<std::string> entity = ResolveEntityLocked(conf_id, &node_index);
+  std::optional<std::string_view> entity = ResolveEntityLocked(conf_id, &node_index);
   if (!entity.has_value() || *entity == kUncertainEntity) {
     // Either a conf created outside the session (e.g. a process-global
     // default) or one we could not map — both are uncertain usage. Uncertain
     // confs never receive overrides, so the trace marker is plan-invariant
     // and the memoized decision is stable.
-    session_->report.uncertain_params.insert(interned_str);
-    session_->report.trace_elements.insert(TraceUncertainElement(interned_str));
+    if (session_->recording) {
+      record_buffer_.assign(interned);
+      RecordBufferLocked(&report.uncertain_params);
+      TraceUncertainElement(&record_buffer_, interned);
+      RecordBufferLocked(&report.trace_elements);
+    }
     memo.uncertain = true;
     session_->get_memo.emplace(ReadKey{conf_id, interned}, std::move(memo));
     return current;
   }
-  session_->report.reads[*entity].insert(interned_str);
 
   // Only node-owned and unit-test-owned confs receive plan values.
   int index = (*entity == kClientEntity) ? 0 : node_index;
   const std::string* assigned = session_->plan->Lookup(interned, *entity, index);
-  session_->report.trace_elements.insert(
-      TraceReadElement(*entity, index, interned, assigned));
+  if (session_->recording) {
+    record_buffer_.assign(interned);
+    RecordBufferLocked(&report.reads[std::string(*entity)]);
+    TraceReadElement(&record_buffer_, *entity, index, interned, assigned);
+    RecordBufferLocked(&report.trace_elements);
+  }
   memo.has_override = assigned != nullptr;
   if (assigned != nullptr) {
     memo.override_value = *assigned;
   }
   session_->get_memo.emplace(ReadKey{conf_id, interned}, std::move(memo));
   if (assigned != nullptr) {
-    ++session_->report.override_hits;
+    ++report.override_hits;
     return *assigned;
   }
   return current;
@@ -321,7 +340,7 @@ void ConfAgent::InterceptHas(uint64_t conf_id, std::string_view name) {
     return;
   }
   std::lock_guard<std::mutex> lock(mutex_);
-  if (session_ == nullptr) {
+  if (session_ == nullptr || !session_->recording) {
     return;
   }
   // A presence check is pure recording; once the trace element for this
@@ -330,19 +349,18 @@ void ConfAgent::InterceptHas(uint64_t conf_id, std::string_view name) {
   if (session_->has_memo.count(ReadKey{conf_id, name}) > 0) {
     return;
   }
-  std::string_view interned = InternLocked(name);
+  const std::string_view interned = InternLocked(name);
   session_->has_memo.insert(ReadKey{conf_id, interned});
-  const std::string interned_str(interned);
   int node_index = -1;
-  std::optional<std::string> entity = ResolveEntityLocked(conf_id, &node_index);
+  std::optional<std::string_view> entity = ResolveEntityLocked(conf_id, &node_index);
   if (!entity.has_value() || *entity == kUncertainEntity) {
-    session_->report.trace_elements.insert(TraceUncertainElement(interned_str));
-    return;
+    TraceUncertainElement(&record_buffer_, interned);
+  } else {
+    int index = (*entity == kClientEntity) ? 0 : node_index;
+    const std::string* assigned = session_->plan->Lookup(interned, *entity, index);
+    TraceHasElement(&record_buffer_, *entity, index, interned, assigned);
   }
-  int index = (*entity == kClientEntity) ? 0 : node_index;
-  const std::string* assigned = session_->plan->Lookup(interned, *entity, index);
-  session_->report.trace_elements.insert(
-      TraceHasElement(*entity, index, interned, assigned));
+  RecordBufferLocked(&session_->report.trace_elements);
 }
 
 void ConfAgent::InterceptSet(uint64_t conf_id, const std::string& name,
@@ -391,7 +409,11 @@ std::optional<std::string> ConfAgent::EntityOf(uint64_t conf_id) const {
   if (session_ == nullptr) {
     return std::nullopt;
   }
-  return ResolveEntityLocked(conf_id, nullptr);
+  std::optional<std::string_view> entity = ResolveEntityLocked(conf_id, nullptr);
+  if (!entity.has_value()) {
+    return std::nullopt;
+  }
+  return std::string(*entity);
 }
 
 int ConfAgent::NodeIndexOf(uint64_t conf_id) const {

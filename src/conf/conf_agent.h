@@ -38,6 +38,16 @@
 // subsequent read hashes the name bytes once and probes the memo — no intern
 // lookup, no tree walk. Ownership-mutating events (new confs, clones,
 // promotions) are rare and simply clear the memo.
+//
+// Recording. Only two readers need what a session observed: the empty-plan
+// pre-run, whose reads drive test generation (§6) and the equivalence
+// layer's read surface, and the run cache, which stores the whole result and
+// indexes it by observed trace. Every other heterogeneous run is judged on
+// pass/fail alone (§5). A session therefore either records (kFull: `reads`,
+// `uncertain_params` and `trace_elements`, each string built once) or keeps
+// just its verdict (kVerdictOnly: ownership, the memo, plan lookups and the
+// values they serve, counters and flags — no recorded strings at all).
+// RunUnitTestShared (testkit/test_execution.h) picks the mode per run.
 
 #ifndef SRC_CONF_CONF_AGENT_H_
 #define SRC_CONF_CONF_AGENT_H_
@@ -67,6 +77,10 @@ class Configuration;
 
 // What one ConfAgent session observed. TestGenerator's pre-run consumes this
 // to decide which (test, parameter, node type) combinations are effective.
+// `reads`, `uncertain_params` and `trace_elements` are filled only by a
+// recording session (SessionRecording::kFull): the pre-run and cache-bound
+// runs that read them. A verdict-only session leaves the three empty and
+// fills every other field as a recording one would.
 struct SessionReport {
   // Node type -> number of node instances that ran startInit.
   std::map<std::string, int> node_counts;
@@ -108,6 +122,13 @@ struct SessionReport {
   std::set<std::string> AllParamsRead() const;
 };
 
+// Whether a session records the strings of its observations (see the header
+// comment's "Recording").
+enum class SessionRecording {
+  kFull,         // reads, uncertain_params and trace_elements
+  kVerdictOnly,  // counters and flags only; the caller reads pass/fail
+};
+
 class ConfAgent {
  public:
   // The process-wide default agent (what Current() resolves to on threads
@@ -127,8 +148,8 @@ class ConfAgent {
 
   // ---- Session control (harness side) --------------------------------------
 
-  // Starts a session. `plan` may be empty (pre-run / record-only). Only one
-  // session may be active at a time; test executions are serialized.
+  // Starts a recording session. `plan` may be empty (pre-run / record-only).
+  // Only one session may be active at a time; test executions are serialized.
   void BeginSession(TestPlan plan);
 
   // Starts a session that *borrows* `plan` — the caller keeps ownership and
@@ -136,7 +157,7 @@ class ConfAgent {
   // hot-path entry: RunUnitTest already holds the plan for the whole
   // execution, so copying it into the session only to read Lookup() from it
   // was pure allocation traffic.
-  void BeginSessionBorrowed(const TestPlan* plan);
+  void BeginSessionBorrowed(const TestPlan* plan, SessionRecording recording);
 
   // Ends the session and returns everything it observed.
   SessionReport EndSession();
@@ -167,7 +188,8 @@ class ConfAgent {
   // session trace (a plan override never changes what Has() returns, but the
   // equivalence layer must still see that the parameter was observed).
   // Deliberately does not touch `reads`/`uncertain_params`/`any_conf_usage`,
-  // so test generation is unchanged by presence checks.
+  // so test generation is unchanged by presence checks. Recording is all it
+  // does, so a verdict-only session returns at once.
   void InterceptHas(uint64_t conf_id, std::string_view name);
 
   // Interception of Configuration::Set: propagates the write to the parent
@@ -239,6 +261,7 @@ class ConfAgent {
     // the session is active.
     TestPlan owned_plan;
     const TestPlan* plan = nullptr;
+    bool recording = true;  // SessionRecording::kFull
     std::map<uint64_t, NodeInfo> node_table;           // node_id -> info
     std::map<uint64_t, uint64_t> conf_to_node;         // conf_id -> node_id
     std::set<uint64_t> unit_test_conf_ids;
@@ -263,8 +286,15 @@ class ConfAgent {
   // mutex.
   std::string_view InternLocked(std::string_view name);
 
-  // Resolves a conf id to its entity key; records nothing. Caller holds mutex.
-  std::optional<std::string> ResolveEntityLocked(uint64_t conf_id, int* node_index) const;
+  // Inserts a copy of record_buffer_ into `set` unless it is already there,
+  // so a repeated observation builds no string. Caller holds mutex.
+  void RecordBufferLocked(std::set<std::string>* set);
+
+  // Resolves a conf id to its entity key; records nothing. The view points at
+  // a node-table entry or a constant, so it stays valid for the session.
+  // Caller holds mutex.
+  std::optional<std::string_view> ResolveEntityLocked(uint64_t conf_id,
+                                                      int* node_index) const;
 
   // Moves `conf_id` and its transitive parents from uncertain to unit-test
   // ownership (used by Rule 2 + Rule 3 back-propagation). Caller holds mutex.
@@ -274,6 +304,7 @@ class ConfAgent {
   std::unique_ptr<Session> session_;
   std::atomic<bool> in_session_{false};
   InternArena intern_;  // agent-lifetime; views outlive every session
+  std::string record_buffer_;  // scratch for RecordBufferLocked; keeps capacity
   std::map<uint64_t, Configuration*> conf_registry_;
 };
 
@@ -287,8 +318,9 @@ class ConfAgentSession {
   }
   // Borrowing form: `plan` must outlive the session (RunUnitTest owns the
   // plan for the whole execution, so the session need not copy it).
-  explicit ConfAgentSession(const TestPlan* plan) : agent_(&ConfAgent::Current()) {
-    agent_->BeginSessionBorrowed(plan);
+  ConfAgentSession(const TestPlan* plan, SessionRecording recording)
+      : agent_(&ConfAgent::Current()) {
+    agent_->BeginSessionBorrowed(plan, recording);
   }
   ~ConfAgentSession() {
     if (!ended_) {

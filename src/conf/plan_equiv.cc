@@ -42,30 +42,48 @@ void AppendObservationTail(std::string* out, const std::string* assigned) {
   }
 }
 
-std::string FormatObservation(std::string_view prefix, std::string_view entity,
-                              int node_index, std::string_view param,
-                              const std::string* assigned) {
-  std::string element;
-  AppendObservationHead(&element, prefix, entity, node_index, param);
-  AppendObservationTail(&element, assigned);
-  return element;
+void FormatObservation(std::string* out, std::string_view prefix,
+                       std::string_view entity, int node_index,
+                       std::string_view param, const std::string* assigned) {
+  out->clear();
+  AppendObservationHead(out, prefix, entity, node_index, param);
+  AppendObservationTail(out, assigned);
 }
 
 }  // namespace
 
+void TraceReadElement(std::string* out, std::string_view entity, int node_index,
+                      std::string_view param, const std::string* assigned) {
+  FormatObservation(out, "", entity, node_index, param, assigned);
+}
+
+void TraceHasElement(std::string* out, std::string_view entity, int node_index,
+                     std::string_view param, const std::string* assigned) {
+  FormatObservation(out, kHasPrefix, entity, node_index, param, assigned);
+}
+
+void TraceUncertainElement(std::string* out, std::string_view param) {
+  out->assign(kUncertainPrefix);
+  out->append(param);
+}
+
 std::string TraceReadElement(std::string_view entity, int node_index,
                              std::string_view param, const std::string* assigned) {
-  return FormatObservation("", entity, node_index, param, assigned);
+  std::string element;
+  TraceReadElement(&element, entity, node_index, param, assigned);
+  return element;
 }
 
 std::string TraceHasElement(std::string_view entity, int node_index,
                             std::string_view param, const std::string* assigned) {
-  return FormatObservation(kHasPrefix, entity, node_index, param, assigned);
+  std::string element;
+  TraceHasElement(&element, entity, node_index, param, assigned);
+  return element;
 }
 
 std::string TraceUncertainElement(std::string_view param) {
-  std::string element(kUncertainPrefix);
-  element += param;
+  std::string element;
+  TraceUncertainElement(&element, param);
   return element;
 }
 

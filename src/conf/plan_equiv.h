@@ -73,6 +73,14 @@ std::string TraceHasElement(std::string_view entity, int node_index,
 // A read through an unmappable conf: "@u:p" (never overridden, plan-invariant).
 std::string TraceUncertainElement(std::string_view param);
 
+// The same three elements written into *out, replacing its contents, so a
+// recorder can reuse one buffer and copy an element only when it is new.
+void TraceReadElement(std::string* out, std::string_view entity, int node_index,
+                      std::string_view param, const std::string* assigned);
+void TraceHasElement(std::string* out, std::string_view entity, int node_index,
+                     std::string_view param, const std::string* assigned);
+void TraceUncertainElement(std::string* out, std::string_view param);
+
 // True when `plan` would produce exactly `element` for the observation it
 // encodes (re-derives the element under this plan's assignments and compares
 // byte-identically). Unparseable elements never match.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <random>
 
 #include "src/common/logging.h"
@@ -462,9 +463,13 @@ UnitWorkResult Campaign::RunUnitDynamic(
   // and trace-predicts every plan this unit's dynamic phase executes (see
   // plan_equiv.h). Installed for this unit only — the surface is the promise
   // of *this* test's pre-run (thread-scoped state, like the cache).
-  ReadSurface surface(session);
+  // Built only when the layer is on: nothing else reads the surface.
+  std::optional<ReadSurface> surface;
+  if (options_.enable_equiv_cache) {
+    surface.emplace(session);
+  }
   ScopedReadSurface scoped_surface(
-      options_.enable_equiv_cache && surface.usable() ? &surface : nullptr);
+      surface.has_value() && surface->usable() ? &*surface : nullptr);
 
   // Coupled plans are derived from the generated instances before they are
   // regrouped below; pairs with a filtered-out member are dropped.

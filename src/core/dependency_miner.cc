@@ -26,12 +26,13 @@ std::vector<MinedRule> DependencyMiner::MineParam(const std::string& app,
 
     std::set<std::string>& reads = reads_by_value[value];
     for (const UnitTestDef* test : corpus_.ForApp(app)) {
-      std::shared_ptr<const TestResult> result =
-          RunUnitTestShared(*test, plan, /*trial=*/0);
+      // The recording entry point: a homogeneous run's read map is the
+      // whole point here.
+      const TestResult result = RunUnitTest(*test, plan, /*trial=*/0);
       if (executions != nullptr) {
         ++*executions;
       }
-      for (const std::string& read : result->report.AllParamsRead()) {
+      for (const std::string& read : result.report.AllParamsRead()) {
         reads.insert(read);
       }
     }

@@ -32,6 +32,41 @@ int64_t SyntheticRunLatencyUs() {
   return g_synthetic_run_latency_us.load(std::memory_order_relaxed);
 }
 
+namespace {
+
+// Executes `test` once under `plan` (no cache consulted) and fills `result`;
+// returns whether the body consumed the per-trial RNG.
+bool Execute(const UnitTestDef& test, const TestPlan& plan, uint64_t trial,
+             SessionRecording recording, TestResult* result) {
+  auto start = std::chrono::steady_clock::now();
+  if (int64_t latency_us = SyntheticRunLatencyUs(); latency_us > 0) {
+    ::usleep(static_cast<useconds_t>(latency_us));
+  }
+  // Fold the plan into the trial seed: in a real system, nondeterminism is
+  // independent across runs with different configurations; re-running the
+  // same (test, plan, trial) triple stays reproducible.
+  uint64_t effective_trial = HashCombine(trial, plan.DescribeSeed());
+  ConfAgentSession session(&plan, recording);
+  TestContext context(test.id, effective_trial);
+  try {
+    test.body(context);
+    result->passed = true;
+  } catch (const std::exception& e) {
+    result->passed = false;
+    result->failure = e.what();
+    ZLOG_DEBUG << test.id << " failed: " << e.what();
+  }
+  result->report = session.End();
+  if (g_duration_collector != nullptr) {
+    g_duration_collector->push_back(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+            .count());
+  }
+  return context.TrialSensitive();
+}
+
+}  // namespace
+
 std::shared_ptr<const TestResult> RunUnitTestShared(const UnitTestDef& test,
                                                     const TestPlan& plan,
                                                     uint64_t trial) {
@@ -68,44 +103,34 @@ std::shared_ptr<const TestResult> RunUnitTestShared(const UnitTestDef& test,
     }
   }
 
-  auto start = std::chrono::steady_clock::now();
-  if (int64_t latency_us = SyntheticRunLatencyUs(); latency_us > 0) {
-    ::usleep(static_cast<useconds_t>(latency_us));
-  }
+  // Record the session only where it is read: the empty-plan pre-run feeds
+  // test generation and the read surface, and the cache keeps the whole
+  // result, serves it to any later caller and indexes it by observed trace.
+  // Every other run is judged on passed/failure alone.
   auto result = std::make_shared<TestResult>();
-  // Fold the plan into the trial seed: in a real system, nondeterminism is
-  // independent across runs with different configurations; re-running the
-  // same (test, plan, trial) triple stays reproducible.
-  uint64_t effective_trial = HashCombine(trial, plan.DescribeSeed());
-  ConfAgentSession session(&plan);
-  TestContext context(test.id, effective_trial);
-  try {
-    test.body(context);
-    result->passed = true;
-  } catch (const std::exception& e) {
-    result->passed = false;
-    result->failure = e.what();
-    ZLOG_DEBUG << test.id << " failed: " << e.what();
-  }
-  result->report = session.End();
-  if (g_duration_collector != nullptr) {
-    g_duration_collector->push_back(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count());
-  }
+  const bool trial_sensitive =
+      Execute(test, plan, trial,
+              cache != nullptr || plan.empty() ? SessionRecording::kFull
+                                               : SessionRecording::kVerdictOnly,
+              result.get());
   if (cache != nullptr) {
     const std::string observed_trace = ObservedTraceText(result->report);
     // The cache shares this exact payload across its key aliases — the
     // insert allocates no TestResult copy.
     cache->Insert(test.id, plan.Fingerprint(), trial,
-                  /*trial_insensitive=*/!context.TrialSensitive(), result,
-                  equiv_query, &observed_trace);
+                  /*trial_insensitive=*/!trial_sensitive, result, equiv_query,
+                  &observed_trace);
   }
   return result;
 }
 
 TestResult RunUnitTest(const UnitTestDef& test, const TestPlan& plan, uint64_t trial) {
-  return *RunUnitTestShared(test, plan, trial);
+  if (GlobalRunCache() != nullptr) {
+    return *RunUnitTestShared(test, plan, trial);  // cache-bound: recorded
+  }
+  TestResult result;
+  Execute(test, plan, trial, SessionRecording::kFull, &result);
+  return result;
 }
 
 }  // namespace zebra

@@ -20,14 +20,15 @@ namespace zebra {
 struct TestResult {
   bool passed = false;
   std::string failure;    // first failure message (empty when passed)
-  SessionReport report;   // what ConfAgent observed during the run
+  SessionReport report;   // what ConfAgent observed (see the entry points)
 };
 
 // Runs `test` with `plan` injected through ConfAgent. `trial` seeds the
 // test-local RNG, so re-running with a different trial re-rolls any seeded
 // nondeterminism. Exactly one execution may run at a time (ConfAgent sessions
 // are serialized). The plan is borrowed for the duration of the call and not
-// mutated.
+// mutated. Always records: `report` carries the full read map and trace, so
+// callers that inspect what a run read (pre-runs, dependency mining) use this.
 TestResult RunUnitTest(const UnitTestDef& test, const TestPlan& plan, uint64_t trial);
 
 // Allocation-lean variant: a run-cache hit returns the cached payload by
@@ -35,6 +36,12 @@ TestResult RunUnitTest(const UnitTestDef& test, const TestPlan& plan, uint64_t t
 // inserted into the cache and returned through the same shared payload. The
 // pointee is immutable and safe to share across threads; it is never null.
 // Campaign hot paths that only inspect `passed`/`failure` use this.
+//
+// Records only when a reader needs it: for the empty plan (the pre-run
+// TestGenerator and the read surface consume) and when a run cache is
+// installed (the cache keeps the whole result, serves it to any caller and
+// indexes it by observed trace). Any other run is verdict-only: its
+// `report.reads`, `uncertain_params` and `trace_elements` are empty.
 std::shared_ptr<const TestResult> RunUnitTestShared(const UnitTestDef& test,
                                                     const TestPlan& plan,
                                                     uint64_t trial);

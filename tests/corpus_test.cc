@@ -2,12 +2,14 @@
 // original (homogeneous) configuration, flaky tests must actually be flaky,
 // and the pre-run reports must expose the structure the generator relies on.
 
+#include <memory>
 #include <set>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "src/testkit/ground_truth.h"
+#include "src/testkit/run_cache.h"
 #include "src/testkit/test_execution.h"
 #include "src/testkit/unit_test_registry.h"
 
@@ -162,6 +164,61 @@ TEST(CorpusTest, GroundTruthParamsAreReadSomewhere) {
   for (const auto& [param, why] : ExpectedUnsafeParams()) {
     EXPECT_TRUE(read_params.count(param) > 0) << "never read: " << param;
   }
+}
+
+// The recording contract (test_execution.h): RunUnitTest always records;
+// RunUnitTestShared records only the empty-plan pre-run and cache-bound runs,
+// and otherwise keeps just the verdict.
+bool Recorded(const TestResult& result) {
+  return !result.report.reads.empty() && !result.report.trace_elements.empty();
+}
+
+TEST(CorpusTest, SharedRunsRecordOnlyWhereRead) {
+  const UnitTestDef* test = FullCorpus().Find("minidfs.TestWriteReadSmallFile");
+  ASSERT_NE(test, nullptr);
+  TestPlan hetero;
+  ParamPlan checksum;
+  checksum.param = "dfs.checksum.type";
+  checksum.assigner = ValueAssigner::UniformGroup("DataNode", "CRC32", "CRC32C");
+  hetero.Add(checksum);
+
+  // No cache, non-empty plan: verdict only, and the same verdict.
+  const TestResult recorded = RunUnitTest(*test, hetero, /*trial=*/0);
+  ASSERT_TRUE(Recorded(recorded));
+  EXPECT_FALSE(recorded.passed) << "heterogeneous checksum types must fail";
+  std::shared_ptr<const TestResult> verdict =
+      RunUnitTestShared(*test, hetero, /*trial=*/0);
+  EXPECT_EQ(verdict->passed, recorded.passed);
+  EXPECT_EQ(verdict->failure, recorded.failure);
+  EXPECT_TRUE(verdict->report.reads.empty());
+  EXPECT_TRUE(verdict->report.uncertain_params.empty());
+  EXPECT_TRUE(verdict->report.trace_elements.empty());
+  // Counters and flags are kept either way.
+  EXPECT_EQ(verdict->report.override_hits, recorded.report.override_hits);
+  EXPECT_EQ(verdict->report.node_counts, recorded.report.node_counts);
+  EXPECT_EQ(verdict->report.any_conf_usage, recorded.report.any_conf_usage);
+  EXPECT_EQ(verdict->report.conf_sharing_detected,
+            recorded.report.conf_sharing_detected);
+
+  // The empty plan is the pre-run: both entry points record it.
+  const TestResult prerun = RunUnitTest(*test, TestPlan{}, /*trial=*/0);
+  EXPECT_TRUE(Recorded(prerun));
+  std::shared_ptr<const TestResult> shared_prerun =
+      RunUnitTestShared(*test, TestPlan{}, /*trial=*/0);
+  EXPECT_TRUE(Recorded(*shared_prerun));
+  EXPECT_EQ(shared_prerun->report.reads, prerun.report.reads);
+  EXPECT_EQ(shared_prerun->report.trace_elements, prerun.report.trace_elements);
+
+  // Under a cache every run records, whichever entry point executes it.
+  RunCache cache;
+  ScopedRunCache scoped(&cache);
+  std::shared_ptr<const TestResult> cached =
+      RunUnitTestShared(*test, hetero, /*trial=*/0);
+  EXPECT_TRUE(Recorded(*cached));
+  EXPECT_EQ(cached->report.reads, recorded.report.reads);
+  EXPECT_EQ(cached->report.uncertain_params, recorded.report.uncertain_params);
+  EXPECT_EQ(cached->report.trace_elements, recorded.report.trace_elements);
+  EXPECT_TRUE(Recorded(RunUnitTest(*test, hetero, /*trial=*/1)));
 }
 
 }  // namespace
