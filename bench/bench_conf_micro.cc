@@ -5,20 +5,32 @@
 //
 // BM_ConfGet_MaterializedName reproduces the call shape before the
 // string_view refactor (a std::string per call for the property-map key and
-// a second by-value copy handed to InterceptGet); the delta against
+// a second copy of the name handed to InterceptGet); the delta against
 // BM_ConfGet_* is the allocation cost the refactor removed. The in-session
-// arm exercises the arena-interned memoized InterceptGet path: after a
-// parameter's first read in a session, the interned name pointer keys a
-// per-session memo so repeat reads skip plan application and trace updates.
+// arms exercise the agent's read memo (conf_agent.h, "Hot path"): a flat
+// table that lives as long as the agent, probed by a hash of the conf id and
+// the caller's name pointer and length, with the name bytes compared on a
+// hit. A repeat read is one probe and serves the plan's value by reference;
+// the typed getters parse that value, or the stored one, in place.
+//
+// Two arms time what the repeat-read arms cannot see:
+//   * first read — a fresh conf per iteration in a verdict-only session, so
+//     every read misses the memo and pays interning, entity resolution, the
+//     plan lookup and the insert. The conf's own construction, destruction
+//     and share of session restarts are timed separately (conf lifecycle),
+//     so the miss cost is their difference;
+//   * GetInt — a memoized typed read, parsed where the value lies.
 // Parameter names are realistic dotted identifiers well past small-string
 // optimization, so each legacy materialization was a heap round-trip.
 //
-// Before the google-benchmark pass, main() times the same three Get arms
-// directly and emits BENCH_conf_micro.json with ns/op per arm plus the
-// memoized-vs-legacy delta, so the InterceptGet hot-path cost is tracked as
-// a machine-readable artifact like every other bench.
+// Before the google-benchmark pass, main() times the arms directly and emits
+// BENCH_conf_micro.json with ns/op per arm plus the memoized-vs-legacy delta,
+// so the InterceptGet hot-path cost is tracked as a machine-readable
+// artifact like every other bench.
 
 #include <chrono>
+#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -47,8 +59,8 @@ BENCHMARK(BM_ConfGet_NoSession);
 
 void BM_ConfGet_InSession(benchmark::State& state) {
   // The unit-test regime: an active session interns the name once, then
-  // repeat reads hit the pointer-keyed memo — no per-call materialization,
-  // plan application, or trace mutation.
+  // repeat reads hit the memo — no per-call materialization, plan
+  // application, or trace mutation.
   ConfAgentSession session(TestPlan{});
   Configuration conf;
   conf.Set(kParam, "3.5");
@@ -58,6 +70,55 @@ void BM_ConfGet_InSession(benchmark::State& state) {
   session.End();
 }
 BENCHMARK(BM_ConfGet_InSession);
+
+// Fresh-conf arms restart their verdict-only session (the uncached
+// campaign's heterogeneous runs are verdict-only) every kConfsPerSession
+// confs, so the session's ownership tables stay at a unit test's size
+// instead of growing with the iteration count.
+constexpr int kConfsPerSession = 32;
+
+class FreshConfs {
+ public:
+  // Constructs a conf for the next iteration, in a session that has seen at
+  // most kConfsPerSession - 1 confs before it.
+  Configuration& Next() {
+    conf_.reset();
+    if (made_++ % kConfsPerSession == 0) {
+      session_.reset();  // one session per agent at a time
+      session_ = std::make_unique<ConfAgentSession>(
+          &plan_, SessionRecording::kVerdictOnly);
+    }
+    return conf_.emplace();
+  }
+
+ private:
+  const TestPlan plan_;
+  int made_ = 0;
+  std::unique_ptr<ConfAgentSession> session_;
+  std::optional<Configuration> conf_;  // destroyed before its session ends
+};
+
+void BM_ConfGet_FirstRead(benchmark::State& state) {
+  // Every read misses: each iteration reads through a conf the memo has
+  // never seen (construction, destruction and the amortized session restart
+  // included).
+  FreshConfs confs;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(confs.Next().Get(kParam, kDefault));
+  }
+}
+BENCHMARK(BM_ConfGet_FirstRead);
+
+void BM_ConfGetInt_InSession(benchmark::State& state) {
+  ConfAgentSession session(TestPlan{});
+  Configuration conf;
+  conf.Set(kParam, "3");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(conf.GetInt(kParam, 2));
+  }
+  session.End();
+}
+BENCHMARK(BM_ConfGetInt_InSession);
 
 void BM_ConfGet_MaterializedName(benchmark::State& state) {
   // Pre-refactor call shape: GetStored built std::string(name) to probe the
@@ -119,13 +180,31 @@ void WriteConfMicroJson() {
   }
 
   double memoized_ns = 0;
+  double get_int_ns = 0;
   {
     ConfAgentSession session(TestPlan{});
     Configuration conf;
     conf.Set(kParam, "3.5");
     memoized_ns = MeasureNsPerOp(
         [&] { benchmark::DoNotOptimize(conf.Get(kParam, kDefault)); });
+    Configuration int_conf;
+    int_conf.Set(kParam, "3");
+    get_int_ns = MeasureNsPerOp(
+        [&] { benchmark::DoNotOptimize(int_conf.GetInt(kParam, 2)); });
     session.End();
+  }
+
+  double lifecycle_ns = 0;
+  {
+    FreshConfs confs;
+    lifecycle_ns =
+        MeasureNsPerOp([&] { benchmark::DoNotOptimize(confs.Next().id()); });
+  }
+  double first_read_ns = 0;
+  {
+    FreshConfs confs;
+    first_read_ns = MeasureNsPerOp(
+        [&] { benchmark::DoNotOptimize(confs.Next().Get(kParam, kDefault)); });
   }
 
   double legacy_ns = 0;
@@ -149,6 +228,11 @@ void WriteConfMicroJson() {
       "(%.2fx).\n",
       memoized_ns, no_session_ns, legacy_ns, legacy_ns - memoized_ns,
       memoized_ns > 0 ? legacy_ns / memoized_ns : 0.0);
+  std::printf(
+      "First read of a fresh conf: %.1f ns/op (conf lifecycle alone %.1f "
+      "ns/op, so a memo miss costs about %.1f ns); memoized GetInt %.1f "
+      "ns/op.\n",
+      first_read_ns, lifecycle_ns, first_read_ns - lifecycle_ns, get_int_ns);
 
   WriteBenchJson("BENCH_conf_micro.json", [&](JsonWriter& json) {
     json.Field("param_name_length", static_cast<int>(kParam.size()));
@@ -158,6 +242,10 @@ void WriteConfMicroJson() {
     json.Field("memoized_saving_ns_per_op", legacy_ns - memoized_ns, 2);
     json.Field("memoized_speedup_vs_legacy",
                memoized_ns > 0 ? legacy_ns / memoized_ns : 0.0, 3);
+    json.Field("get_first_read_ns_per_op", first_read_ns, 2);
+    json.Field("conf_lifecycle_ns_per_op", lifecycle_ns, 2);
+    json.Field("first_read_miss_ns_per_op", first_read_ns - lifecycle_ns, 2);
+    json.Field("get_int_in_session_memoized_ns_per_op", get_int_ns, 2);
   });
 }
 

@@ -61,11 +61,73 @@ ScopedThreadConfAgent::ScopedThreadConfAgent() : previous_(t_current_agent) {
 
 ScopedThreadConfAgent::~ScopedThreadConfAgent() { t_current_agent = previous_; }
 
+const ConfAgent::ReadMemo::Slot* ConfAgent::ReadMemo::Find(
+    uint64_t conf_id, std::string_view name) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = Home(conf_id, name);; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.generation != generation_) {
+      return nullptr;  // live slots never leave holes within a generation
+    }
+    if (slot.conf_id == conf_id && slot.name == name) {
+      return &slot;
+    }
+  }
+}
+
+void ConfAgent::ReadMemo::Insert(uint64_t conf_id, std::string_view name,
+                                 std::string_view interned,
+                                 const std::string* value) {
+  // Keep the load at most one half so every probe ends at a free slot.
+  if (2 * (live_ + 1) > slots_.size()) {
+    if (slots_.size() < kMaxSlots) {
+      slots_.assign(2 * slots_.size(), Slot{});
+      live_ = 0;
+    } else {
+      Clear();
+    }
+  }
+  const size_t mask = slots_.size() - 1;
+  size_t i = Home(conf_id, name);
+  while (slots_[i].generation == generation_) {
+    i = (i + 1) & mask;
+  }
+  slots_[i] = Slot{conf_id, interned, value, generation_};
+  ++live_;
+}
+
+void ConfAgent::ReadMemo::Clear() {
+  live_ = 0;
+  if (++generation_ == 0) {
+    // Wrapped: a slot last written 2^32 clears ago would read as live.
+    slots_.assign(slots_.size(), Slot{});
+    generation_ = 1;
+  }
+}
+
+size_t ConfAgent::ReadMemo::Home(uint64_t conf_id, std::string_view name) const {
+  // The caller's pointer stands in for the name bytes; the bytes are compared
+  // on a hit, never hashed. SplitMix64's finalizer spreads sequential ids and
+  // aligned pointers over the low bits the mask keeps.
+  uint64_t key = conf_id * 0x9E3779B97F4A7C15ULL ^
+                 reinterpret_cast<uintptr_t>(name.data()) ^
+                 (static_cast<uint64_t>(name.size()) << 48);
+  key = (key ^ (key >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  key = (key ^ (key >> 27)) * 0x94D049BB133111EBULL;
+  return static_cast<size_t>(key ^ (key >> 31)) & (slots_.size() - 1);
+}
+
+void ConfAgent::ClearMemosLocked() {
+  get_memo_.Clear();
+  has_memo_.Clear();
+}
+
 void ConfAgent::BeginSession(TestPlan plan) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (session_ != nullptr) {
     throw InternalError("ConfAgent session already active; sessions must be serialized");
   }
+  ClearMemosLocked();
   session_ = std::make_unique<Session>();
   session_->owned_plan = std::move(plan);
   session_->plan = &session_->owned_plan;
@@ -78,6 +140,7 @@ void ConfAgent::BeginSessionBorrowed(const TestPlan* plan,
   if (session_ != nullptr) {
     throw InternalError("ConfAgent session already active; sessions must be serialized");
   }
+  ClearMemosLocked();
   session_ = std::make_unique<Session>();
   session_->plan = plan != nullptr ? plan : &session_->owned_plan;
   session_->recording = recording == SessionRecording::kFull;
@@ -181,8 +244,7 @@ void ConfAgent::PromoteToUnitTestLocked(uint64_t conf_id) {
   // decisions (and recorded-presence markers) are stale. Promotions are a
   // handful per run; dropping both memos wholesale is cheap and obviously
   // correct.
-  session_->get_memo.clear();
-  session_->has_memo.clear();
+  ClearMemosLocked();
   uint64_t current = conf_id;
   // Walk the clone chain upward, promoting any uncertain ancestor.
   for (int depth = 0; depth < 64; ++depth) {
@@ -263,39 +325,32 @@ void ConfAgent::RecordBufferLocked(std::set<std::string>* set) {
   }
 }
 
-std::string ConfAgent::InterceptGet(uint64_t conf_id, std::string_view name,
-                                    std::string current) {
+const std::string* ConfAgent::InterceptGet(uint64_t conf_id, std::string_view name) {
   if (!InSession()) {
-    return current;
+    return nullptr;
   }
   std::lock_guard<std::mutex> lock(mutex_);
   if (session_ == nullptr) {
-    return current;
+    return nullptr;
   }
-  session_->report.any_conf_usage = true;
+  SessionReport& report = session_->report;
+  report.any_conf_usage = true;
 
   // Steady state: every read after the first of a (conf, param) pair is one
-  // hash of the name bytes plus one memo probe — no intern-table lookup, no
-  // entity resolution, no plan lookup, no trace-element construction (set
-  // inserts are idempotent; only per-call counters remain). The probe key
-  // views the caller's buffer; equality compares bytes against the interned
-  // copy stored at first read.
-  auto memo_it = session_->get_memo.find(ReadKey{conf_id, name});
-  if (memo_it != session_->get_memo.end()) {
-    const ReadMemo& memo = memo_it->second;
-    if (memo.has_override) {
-      ++session_->report.override_hits;
-      return memo.override_value;
+  // memo probe — no intern-table lookup, no entity resolution, no plan
+  // lookup, no trace-element construction (set inserts are idempotent; only
+  // per-call counters remain).
+  if (const ReadMemo::Slot* slot = get_memo_.Find(conf_id, name); slot != nullptr) {
+    if (slot->value != nullptr) {
+      ++report.override_hits;
     }
-    return current;
+    return slot->value;
   }
 
   // First read of this (conf, param) pair. A recording session renders each
   // string into the agent's buffer and copies it into its set only when new;
   // a verdict-only one renders nothing.
-  ReadMemo memo;
   const std::string_view interned = InternLocked(name);
-  SessionReport& report = session_->report;
   int node_index = -1;
   std::optional<std::string_view> entity = ResolveEntityLocked(conf_id, &node_index);
   if (!entity.has_value() || *entity == kUncertainEntity) {
@@ -309,9 +364,8 @@ std::string ConfAgent::InterceptGet(uint64_t conf_id, std::string_view name,
       TraceUncertainElement(&record_buffer_, interned);
       RecordBufferLocked(&report.trace_elements);
     }
-    memo.uncertain = true;
-    session_->get_memo.emplace(ReadKey{conf_id, interned}, std::move(memo));
-    return current;
+    get_memo_.Insert(conf_id, name, interned, nullptr);
+    return nullptr;
   }
 
   // Only node-owned and unit-test-owned confs receive plan values.
@@ -323,16 +377,11 @@ std::string ConfAgent::InterceptGet(uint64_t conf_id, std::string_view name,
     TraceReadElement(&record_buffer_, *entity, index, interned, assigned);
     RecordBufferLocked(&report.trace_elements);
   }
-  memo.has_override = assigned != nullptr;
-  if (assigned != nullptr) {
-    memo.override_value = *assigned;
-  }
-  session_->get_memo.emplace(ReadKey{conf_id, interned}, std::move(memo));
+  get_memo_.Insert(conf_id, name, interned, assigned);
   if (assigned != nullptr) {
     ++report.override_hits;
-    return *assigned;
   }
-  return current;
+  return assigned;
 }
 
 void ConfAgent::InterceptHas(uint64_t conf_id, std::string_view name) {
@@ -346,11 +395,11 @@ void ConfAgent::InterceptHas(uint64_t conf_id, std::string_view name) {
   // A presence check is pure recording; once the trace element for this
   // (conf, param) pair exists, repeats are no-ops. Probe with the caller's
   // buffer first (steady state skips interning); intern only when recording.
-  if (session_->has_memo.count(ReadKey{conf_id, name}) > 0) {
+  if (has_memo_.Find(conf_id, name) != nullptr) {
     return;
   }
   const std::string_view interned = InternLocked(name);
-  session_->has_memo.insert(ReadKey{conf_id, interned});
+  has_memo_.Insert(conf_id, name, interned, nullptr);
   int node_index = -1;
   std::optional<std::string_view> entity = ResolveEntityLocked(conf_id, &node_index);
   if (!entity.has_value() || *entity == kUncertainEntity) {

@@ -30,14 +30,18 @@
 // remain usable as ordinary libraries.
 //
 // Hot path. InterceptGet is called for every configuration read a unit test
-// makes — millions per campaign. The agent keeps an arena-backed intern
-// table (common/intern_arena.h) shared across all sessions it runs, and a
-// per-session memo keyed by (conf object, parameter-name bytes): the first
-// read of a (conf, param) pair interns the name, resolves ownership, records
-// the read and its trace element, and caches the plan decision; every
-// subsequent read hashes the name bytes once and probes the memo — no intern
-// lookup, no tree walk. Ownership-mutating events (new confs, clones,
-// promotions) are rare and simply clear the memo.
+// makes — millions per campaign. The agent keeps two tables that live as
+// long as it does: an arena-backed intern table (common/intern_arena.h) and
+// a flat read memo (ReadMemo) keyed by (conf object, parameter name). The
+// first read of a (conf, param) pair interns the name, resolves ownership,
+// records the read and its trace element, and stores a pointer to the plan's
+// value (or none) in the memo. Every later read hashes the conf id and the
+// caller's name pointer and length, probes the memo, and compares the name
+// bytes with the slot's interned copy — no byte hash, no intern lookup, no
+// tree walk, no copy. New confs and clones get fresh ids, so they leave
+// every memoized decision valid; only the start of a session and a
+// promotion (Rule 2 back-propagation changes how an existing conf resolves)
+// clear the memo, in O(1).
 //
 // Recording. Only two readers need what a session observed: the empty-plan
 // pre-run, whose reads drive test generation (§6) and the equivalence
@@ -53,6 +57,7 @@
 #define SRC_CONF_CONF_AGENT_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -62,13 +67,10 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "src/common/intern_arena.h"
-#include "src/common/rng.h"
 #include "src/conf/test_plan.h"
 
 namespace zebra {
@@ -177,12 +179,14 @@ class ConfAgent {
   // Returns the node id the clone was attached to (0 if none).
   void RefToCloneConf(uint64_t orig_id, uint64_t clone_id);
 
-  // Interception of Configuration::Get: may replace `current` with the value
-  // the plan assigns to the conf's owning entity. Takes a string_view so the
-  // caller never materializes a std::string for the name; the session keeps a
+  // Interception of Configuration::Get: returns the value the plan assigns
+  // to the conf's owning entity for `name`, or nullptr when the read sees the
+  // conf's own value (no session, no plan entry, or an unmapped conf). The
+  // pointer is into the session's plan and stays valid until the session
+  // ends; the caller copies or parses it in place. Takes a string_view so the
+  // caller never materializes a std::string for the name; the agent keeps a
   // single interned copy per parameter for its recording structures.
-  std::string InterceptGet(uint64_t conf_id, std::string_view name,
-                           std::string current);
+  const std::string* InterceptGet(uint64_t conf_id, std::string_view name);
 
   // Interception of Configuration::Has: records the presence check in the
   // session trace (a plan override never changes what Has() returns, but the
@@ -227,32 +231,48 @@ class ConfAgent {
     uint64_t parent_conf_id = 0;  // conf passed into the init function, if any
   };
 
-  // Memoized outcome of one (conf object, parameter) read: the entity
-  // resolution, the plan decision, and whether the trace/report bookkeeping
-  // already happened. Valid until the next ownership-mutating event.
-  struct ReadMemo {
-    bool uncertain = false;      // unmapped or @uncertain: never overridden
-    bool has_override = false;   // the plan assigns a value for this read
-    std::string override_value;  // valid when has_override
-  };
+  // The read memo: (conf id, parameter name) -> what a read of that pair
+  // decided, as one flat open-addressing table with linear probing. A slot is
+  // live only while its generation equals the table's, so Clear() is one
+  // increment. A probe starts at a hash of the conf id and the caller's name
+  // pointer and length, and a hit requires the name bytes to equal the slot's
+  // interned copy: a caller that rewrites one buffer in place to another
+  // name reaches the old slot, fails the byte check and misses. A miss is
+  // always safe — the caller resolves the read again and recording is
+  // idempotent — so a table that must grow drops its contents instead of
+  // rehashing, and one at its size cap clears.
+  class ReadMemo {
+   public:
+    struct Slot {
+      uint64_t conf_id = 0;
+      std::string_view name;               // the interned copy
+      const std::string* value = nullptr;  // the plan's value; nullptr: none
+      uint32_t generation = 0;             // live iff equal to the table's
+    };
 
-  // Memo key: (conf id, parameter-name bytes). The stored view points into
-  // the agent-lifetime intern arena; lookups may pass a view into the
-  // caller's own buffer — equality compares bytes, so the steady-state read
-  // path never touches the intern table at all.
-  struct ReadKey {
-    uint64_t conf_id = 0;
-    std::string_view name;
+    // The live slot for (conf_id, name), or nullptr.
+    const Slot* Find(uint64_t conf_id, std::string_view name) const;
 
-    bool operator==(const ReadKey& other) const {
-      return conf_id == other.conf_id && name == other.name;
-    }
-  };
+    // Memoizes `value` for (conf_id, interned) where a probe with the
+    // caller's view `name` (same bytes as `interned`) will look first.
+    void Insert(uint64_t conf_id, std::string_view name,
+                std::string_view interned, const std::string* value);
 
-  struct ReadKeyHash {
-    size_t operator()(const ReadKey& key) const {
-      return static_cast<size_t>(HashCombine(key.conf_id, Fnv1a64(key.name)));
-    }
+    // Drops every slot in O(1).
+    void Clear();
+
+   private:
+    // A unit test memoizes a few dozen pairs per session, well under half of
+    // the initial table. The cap bounds a session that reads through
+    // thousands of confs; past it the table clears rather than grows.
+    static constexpr size_t kInitialSlots = 256;
+    static constexpr size_t kMaxSlots = 4096;
+
+    size_t Home(uint64_t conf_id, std::string_view name) const;
+
+    std::vector<Slot> slots_ = std::vector<Slot>(kInitialSlots);
+    uint32_t generation_ = 1;  // never 0, the generation of an unused slot
+    size_t live_ = 0;
   };
 
   struct Session {
@@ -269,14 +289,6 @@ class ConfAgent {
     std::map<uint64_t, uint64_t> child_to_parent;      // clone -> original
     std::map<std::thread::id, std::vector<uint64_t>> thread_context;
     std::map<std::string, int> type_counts;            // node_type -> next index
-
-    // Hot-path memo. Cleared on every ownership mutation
-    // (NewConf/CloneConf/RefToCloneConf), which are a handful of events per
-    // run against millions of reads. Hash maps, not trees: a steady-state
-    // read is one hash of the name bytes plus one bucket probe, instead of
-    // an intern-arena probe followed by O(log n) pair comparisons.
-    std::unordered_map<ReadKey, ReadMemo, ReadKeyHash> get_memo;
-    std::unordered_set<ReadKey, ReadKeyHash> has_memo;
 
     SessionReport report;
   };
@@ -300,10 +312,20 @@ class ConfAgent {
   // ownership (used by Rule 2 + Rule 3 back-propagation). Caller holds mutex.
   void PromoteToUnitTestLocked(uint64_t conf_id);
 
+  // Clears both memos: at session start (slots point into the previous
+  // session's plan) and on promotion. Caller holds mutex.
+  void ClearMemosLocked();
+
   mutable std::mutex mutex_;
   std::unique_ptr<Session> session_;
   std::atomic<bool> in_session_{false};
   InternArena intern_;  // agent-lifetime; views outlive every session
+  // Both memos are guarded by mutex_ (every thread of a session reads and
+  // fills them) and valid for the current session until a promotion. Reads
+  // memoize their plan value; presence checks (recording sessions only) use
+  // a slot just to mark their trace element recorded.
+  ReadMemo get_memo_;
+  ReadMemo has_memo_;
   std::string record_buffer_;  // scratch for RecordBufferLocked; keeps capacity
   std::map<uint64_t, Configuration*> conf_registry_;
 };

@@ -44,8 +44,16 @@ Configuration Configuration::RefToClone(const Configuration& source) {
   return Configuration(RefCloneTag{}, source);
 }
 
-std::string Configuration::GetStored(std::string_view name,
-                                     std::string_view default_value) const {
+const std::string* Configuration::InterceptRead(std::string_view name) const {
+  ZC_ANNOTATION_SITE(kConfApp, AnnotationKind::kConfHook);
+  return ConfAgent::Current().InterceptGet(id_, name);
+}
+
+std::string Configuration::Get(std::string_view name,
+                               std::string_view default_value) const {
+  if (const std::string* assigned = InterceptRead(name); assigned != nullptr) {
+    return *assigned;
+  }
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = properties_.find(name);
   if (it == properties_.end()) {
@@ -54,37 +62,38 @@ std::string Configuration::GetStored(std::string_view name,
   return it->second;
 }
 
-std::string Configuration::Get(std::string_view name,
-                               std::string_view default_value) const {
-  ZC_ANNOTATION_SITE(kConfApp, AnnotationKind::kConfHook);
-  return ConfAgent::Current().InterceptGet(id_, name, GetStored(name, default_value));
+template <typename T>
+std::optional<T> Configuration::ParseRead(std::string_view name, T default_value,
+                                          bool (*parse)(std::string_view, T*)) const {
+  T parsed = default_value;
+  if (const std::string* assigned = InterceptRead(name); assigned != nullptr) {
+    return parse(*assigned, &parsed) ? parsed : default_value;
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = properties_.find(name);
+  if (it == properties_.end()) {
+    return std::nullopt;
+  }
+  return parse(it->second, &parsed) ? parsed : default_value;
 }
 
 bool Configuration::GetBool(std::string_view name, bool default_value) const {
-  bool parsed = default_value;
-  std::string value = Get(name, BoolToString(default_value));
-  if (!ParseBool(value, &parsed)) {
-    return default_value;
-  }
-  return parsed;
+  return ParseRead(name, default_value, ParseBool).value_or(default_value);
 }
 
 int64_t Configuration::GetInt(std::string_view name, int64_t default_value) const {
-  int64_t parsed = default_value;
-  std::string value = Get(name, Int64ToString(default_value));
-  if (!ParseInt64(value, &parsed)) {
-    return default_value;
-  }
-  return parsed;
+  return ParseRead(name, default_value, ParseInt64).value_or(default_value);
 }
 
 double Configuration::GetDouble(std::string_view name, double default_value) const {
-  double parsed = default_value;
-  std::string value = Get(name, DoubleToString(default_value));
-  if (!ParseDouble(value, &parsed)) {
-    return default_value;
+  if (std::optional<double> read = ParseRead(name, default_value, ParseDouble)) {
+    return *read;
   }
-  return parsed;
+  // An absent key keeps the value typed reads have always returned for it:
+  // the default rendered with "%g" and parsed back, so no read changes.
+  double rounded = default_value;
+  ParseDouble(DoubleToString(default_value), &rounded);
+  return rounded;
 }
 
 bool Configuration::Has(std::string_view name) const {

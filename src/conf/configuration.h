@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -46,8 +47,11 @@ class Configuration {
   // may be overridden by the active test plan.
   std::string Get(std::string_view name, std::string_view default_value = "") const;
 
-  // Typed getters parse the (possibly overridden) string value; malformed
-  // values fall back to the default, like Hadoop's Configuration.
+  // Typed getters parse the plan's value for this read if it has one, else
+  // the stored value, where it lies (no copy); malformed text falls back to
+  // the default, like Hadoop's Configuration. An absent key that nothing
+  // overrides returns the default without parsing — GetDouble's as it reads
+  // back from "%g" (0.123456789 reads 0.123457), as it always has.
   bool GetBool(std::string_view name, bool default_value) const;
   int64_t GetInt(std::string_view name, int64_t default_value) const;
   double GetDouble(std::string_view name, double default_value) const;
@@ -77,7 +81,15 @@ class Configuration {
   struct RefCloneTag {};
   Configuration(RefCloneTag, const Configuration& source);
 
-  std::string GetStored(std::string_view name, std::string_view default_value) const;
+  // Every getter's interception point, and its one annotation site.
+  const std::string* InterceptRead(std::string_view name) const;
+
+  // The typed getters' read: parses the plan's value, else the stored one, in
+  // place with `parse`; malformed text yields `default_value`. nullopt when
+  // the key is absent and nothing overrides it.
+  template <typename T>
+  std::optional<T> ParseRead(std::string_view name, T default_value,
+                             bool (*parse)(std::string_view, T*)) const;
 
   uint64_t id_ = 0;
   // The agent this object registered with at construction (the creating

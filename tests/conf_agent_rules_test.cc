@@ -294,6 +294,68 @@ TEST(ConfAgentRulesTest, ConcurrentNodeInitsMapCorrectly) {
   EXPECT_EQ(report.uncertain_conf_count, 0);
 }
 
+// The read memo (see conf_agent.h, "Hot path") must never outlive the
+// decision it caches: a promotion, a new session and a rewritten name buffer
+// each change what a read of the same (conf, name buffer) should see.
+
+TEST(ConfAgentRulesTest, PromotionRefreshesAMemoizedUncertainRead) {
+  TestPlan plan = PlanFor("p", ValueAssigner::UniformGroup("Server", "server-value",
+                                                           "client-value"));
+  ConfAgentSession session(plan);
+  Configuration root;
+  Server anchor(root);   // nodes exist, so the next blank conf is uncertain
+  Configuration orphan;
+  orphan.Set("p", "stored");
+  EXPECT_EQ(orphan.Get("p"), "stored") << "uncertain confs never see plan values";
+
+  Server adopter(orphan);  // Rule 2 promotes the orphan to the unit test
+  EXPECT_EQ(orphan.Get("p"), "client-value");
+  SessionReport report = session.End();
+  EXPECT_EQ(report.override_hits, 1);
+}
+
+TEST(ConfAgentRulesTest, NoMemoizedReadCarriesOverBetweenSessions) {
+  // Both plans are borrowed and outlive both sessions, so a slot that
+  // survived into session 2 would serve session 1's value, not dangle.
+  TestPlan overriding = PlanFor("p", ValueAssigner::Homogeneous("planned"));
+  TestPlan empty;
+  std::unique_ptr<Configuration> conf;
+  {
+    ConfAgentSession session(&overriding, SessionRecording::kVerdictOnly);
+    conf = std::make_unique<Configuration>();  // Rule 1.2: the unit test's
+    conf->Set("p", "stored");
+    EXPECT_EQ(conf->Get("p"), "planned");
+    EXPECT_EQ(session.End().override_hits, 1);
+  }
+  ConfAgentSession session(&empty, SessionRecording::kVerdictOnly);
+  EXPECT_EQ(conf->Get("p"), "stored");
+  EXPECT_EQ(session.End().override_hits, 0);
+}
+
+TEST(ConfAgentRulesTest, RewrittenNameBufferReadsItsOwnParameter) {
+  TestPlan plan = PlanFor("dfs.param.a", ValueAssigner::Homogeneous("value-a"));
+  ParamPlan second;
+  second.param = "dfs.param.b";
+  second.assigner = ValueAssigner::Homogeneous("value-b");
+  plan.Add(std::move(second));
+  ConfAgentSession session(plan);
+  Configuration conf;
+
+  // One buffer, rewritten in place: same pointer, same length, new name.
+  std::string name = "dfs.param.a";
+  const char* const buffer = name.data();
+  EXPECT_EQ(conf.Get(name), "value-a");
+  name.back() = 'b';
+  ASSERT_EQ(name.data(), buffer);
+  EXPECT_EQ(conf.Get(name), "value-b");
+  name.back() = 'a';
+  EXPECT_EQ(conf.Get(name), "value-a");
+  name.back() = 'c';  // a parameter the plan does not assign
+  EXPECT_EQ(conf.Get(name, "default"), "default");
+  SessionReport report = session.End();
+  EXPECT_EQ(report.override_hits, 3);
+}
+
 TEST(ConfAgentRulesTest, NestedSessionsAreRejected) {
   ConfAgentSession session(TestPlan{});
   EXPECT_THROW(ConfAgent::Instance().BeginSession(TestPlan{}), InternalError);

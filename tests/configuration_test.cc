@@ -3,8 +3,14 @@
 
 #include "src/conf/configuration.h"
 
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "src/common/strings.h"
 #include "src/conf/conf_agent.h"
 
 namespace zebra {
@@ -129,6 +135,69 @@ TEST(ConfigurationTest, DependencyOverridesVisibleThroughPlan) {
   Configuration conf;
   EXPECT_EQ(conf.Get("address", "default"), "0.0.0.0:9999");
   session.End();
+}
+
+// What a typed getter returned when it read through Get() with its default
+// rendered as text: the text parsed, malformed text falling back.
+template <typename T>
+T ParsedThroughGet(const Configuration& conf, const std::string& name, T default_value,
+                   std::string (*render)(T), bool (*parse)(std::string_view, T*)) {
+  T parsed = default_value;
+  return parse(conf.Get(name, render(default_value)), &parsed) ? parsed : default_value;
+}
+
+TEST(ConfigurationTest, TypedGettersMatchParsingGetWithRenderedDefault) {
+  struct Case {
+    std::string name;
+    std::optional<std::string> stored;
+    std::optional<std::string> planned;
+  };
+  const std::vector<Case> cases = {
+      {"case.absent", std::nullopt, std::nullopt},
+      {"case.stored", "1", std::nullopt},
+      {"case.padded", " 0 \t", std::nullopt},
+      {"case.malformed", "1x", std::nullopt},
+      {"case.override", "1", "0"},
+      {"case.malformed.override", "1", "nope"},
+  };
+  TestPlan plan;
+  for (const Case& c : cases) {
+    if (c.planned.has_value()) {
+      ParamPlan param;
+      param.param = c.name;
+      param.assigner = ValueAssigner::Homogeneous(*c.planned);
+      plan.Add(std::move(param));
+    }
+  }
+  auto expect_parity = [&cases](const Configuration& conf) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(c.name);
+      EXPECT_EQ(conf.GetInt(c.name, 7),
+                ParsedThroughGet<int64_t>(conf, c.name, 7, Int64ToString, ParseInt64));
+      EXPECT_EQ(conf.GetBool(c.name, true),
+                ParsedThroughGet<bool>(conf, c.name, true, BoolToString, ParseBool));
+      EXPECT_EQ(conf.GetDouble(c.name, 0.123456789),
+                ParsedThroughGet<double>(conf, c.name, 0.123456789, DoubleToString,
+                                         ParseDouble));
+    }
+  };
+
+  ConfAgentSession session(plan);
+  Configuration conf;  // belongs to the unit test, so the plan applies
+  for (const Case& c : cases) {
+    if (c.stored.has_value()) {
+      conf.Set(c.name, *c.stored);
+    }
+  }
+  expect_parity(conf);
+  EXPECT_EQ(conf.GetDouble("case.absent", 0.123456789), 0.123457)
+      << "an absent double default still reads back from \"%g\"";
+  SessionReport report = session.End();
+  // Two planned cases, each read by three typed getters and three Get()s.
+  EXPECT_EQ(report.override_hits, 12);
+  EXPECT_TRUE(report.any_conf_usage);
+
+  expect_parity(conf);  // outside a session: stored values and defaults only
 }
 
 }  // namespace
