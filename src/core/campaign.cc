@@ -232,8 +232,10 @@ Campaign::Campaign(const ConfSchema& schema, const UnitTestRegistry& corpus,
 bool Campaign::VerifyInstance(const GeneratedInstance& instance,
                               const ConfirmationObserver& on_confirmation,
                               UnitWorkResult* unit,
-                              std::set<std::string>* confirmed_in_test) const {
-  Verdict verdict = runner_.Verify(instance, &unit->executed_runs);
+                              std::set<std::string>* confirmed_in_test,
+                              std::shared_ptr<const TestResult> first_hetero) const {
+  Verdict verdict =
+      runner_.Verify(instance, &unit->executed_runs, std::move(first_hetero));
   if (verdict.kind == Verdict::Kind::kNotCandidate) {
     return false;
   }
@@ -255,6 +257,7 @@ bool Campaign::VerifyInstance(const GeneratedInstance& instance,
 }
 
 void Campaign::BisectPool(const UnitTestDef& test, std::vector<GeneratedInstance> pool,
+                          std::shared_ptr<const TestResult> failing,
                           const ConfirmationObserver& on_confirmation,
                           UnitWorkResult* unit,
                           std::set<std::string>* confirmed_in_test) const {
@@ -262,7 +265,10 @@ void Campaign::BisectPool(const UnitTestDef& test, std::vector<GeneratedInstance
     return;
   }
   if (pool.size() == 1) {
-    VerifyInstance(pool.front(), on_confirmation, unit, confirmed_in_test);
+    // A one-instance pool's plan is the instance's heterogeneous plan, so its
+    // failing trial-0 run is the verifier's first heterogeneous trial.
+    VerifyInstance(pool.front(), on_confirmation, unit, confirmed_in_test,
+                   std::move(failing));
     return;
   }
   size_t half = pool.size() / 2;
@@ -274,8 +280,11 @@ void Campaign::BisectPool(const UnitTestDef& test, std::vector<GeneratedInstance
       plan.Add(instance.plan);
     }
     ++unit->executed_runs;
-    if (!RunUnitTestShared(test, plan, /*trial=*/0)->passed) {
-      BisectPool(test, *side, on_confirmation, unit, confirmed_in_test);
+    std::shared_ptr<const TestResult> result =
+        RunUnitTestShared(test, plan, /*trial=*/0);
+    if (!result->passed) {
+      BisectPool(test, std::move(*side), std::move(result), on_confirmation, unit,
+                 confirmed_in_test);
     }
   }
 }
@@ -410,10 +419,13 @@ void Campaign::RunPooledForTest(
       plan.Add(instance.plan);
     }
     ++unit->executed_runs;
-    if (RunUnitTestShared(test, plan, /*trial=*/0)->passed) {
+    std::shared_ptr<const TestResult> result =
+        RunUnitTestShared(test, plan, /*trial=*/0);
+    if (result->passed) {
       continue;  // every pooled parameter assumed safe for this instance
     }
-    BisectPool(test, std::move(pool), on_confirmation, unit, &confirmed_in_test);
+    BisectPool(test, std::move(pool), std::move(result), on_confirmation, unit,
+               &confirmed_in_test);
   }
 }
 

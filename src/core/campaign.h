@@ -66,8 +66,10 @@ struct CampaignOptions {
   bool prune_unread_instances = true;
 
   // Memoized execution cache (testkit/run_cache.h): serve bitwise-identical
-  // re-runs (bisection re-probes, repeated homogeneous controls, trials of
-  // deterministic tests, pre-run baselines) from cache instead of executing.
+  // re-runs from cache instead of executing — runs of re-dispatched units,
+  // repeated campaigns, and homogeneous controls shared by verifications of
+  // one parameter. (Later trials of a deterministic plan and bisection's
+  // failing one-instance run never reach the cache: TestRunner answers them.)
   // Findings and every stage counter are unchanged — only wall-clock and the
   // run-duration profile shrink. Hit/miss totals surface in CampaignReport.
   bool enable_run_cache = false;
@@ -161,7 +163,9 @@ struct AppStageCounts {
                                   // when no static prior is configured)
   int64_t after_prerun = 0;       // Table 5 row 2
   int64_t after_uncertainty = 0;  // Table 5 row 3
-  int64_t executed_runs = 0;      // Table 5 row 4 (actual unit-test executions)
+  int64_t executed_runs = 0;      // Table 5 row 4 (logical unit-test runs; the
+                                  // verifier and the run cache answer some
+                                  // without executing them)
   int tests_total = 0;
   int tests_with_nodes = 0;
 };
@@ -190,7 +194,8 @@ struct CampaignReport {
 
   // Run-cache accounting (0/0 when the cache is disabled). Hits are logical
   // unit-test runs served without execution; executed_runs counters include
-  // them, the run-duration profile does not.
+  // them, the run-duration profile does not. Runs TestRunner answers from a
+  // result it holds are counted in executed_runs but never looked up.
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
 
@@ -256,8 +261,9 @@ struct CampaignReport {
   std::string first_detection_param;
 
   // Wall-clock duration of every unit-test execution, in canonical order —
-  // the input to the fleet cost model (core/fleet_model.h). Cache hits do not
-  // appear here (nothing was executed).
+  // the input to the fleet cost model (core/fleet_model.h). Cache hits and
+  // trials TestRunner answers from a known result do not appear here
+  // (nothing was executed).
   std::vector<double> run_durations_seconds;
 
   int64_t TotalOriginal() const;
@@ -456,8 +462,10 @@ class Campaign {
                         const ConfirmationObserver& on_confirmation,
                         UnitWorkResult* unit) const;
 
-  // Recursive bisection of a failing pool (one instance per parameter).
+  // Recursive bisection of a failing pool (one instance per parameter);
+  // `failing` is the pool's own failing trial-0 run.
   void BisectPool(const UnitTestDef& test, std::vector<GeneratedInstance> pool,
+                  std::shared_ptr<const TestResult> failing,
                   const ConfirmationObserver& on_confirmation, UnitWorkResult* unit,
                   std::set<std::string>* confirmed_in_test) const;
 
@@ -473,9 +481,12 @@ class Campaign {
 
   // Verifies one instance through TestRunner and folds the verdict into the
   // unit result. Returns true if the parameter was confirmed unsafe.
+  // `first_hetero` is the instance's trial-0 heterogeneous result when the
+  // caller already holds it (see TestRunner::Verify).
   bool VerifyInstance(const GeneratedInstance& instance,
                       const ConfirmationObserver& on_confirmation, UnitWorkResult* unit,
-                      std::set<std::string>* confirmed_in_test) const;
+                      std::set<std::string>* confirmed_in_test,
+                      std::shared_ptr<const TestResult> first_hetero = nullptr) const;
 
   // Parameter visit order for one test: descending static priority
   // (wire-tainted first), name for ties; shuffled when the options ask for

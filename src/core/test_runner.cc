@@ -24,24 +24,43 @@ TestPlan TestRunner::HomoPlan(const GeneratedInstance& instance,
   return plan;
 }
 
-Verdict TestRunner::Verify(const GeneratedInstance& instance,
-                           int64_t* executions) const {
+namespace {
+
+// One plan Verify runs over several trials, with its latest result.
+struct PlanTrials {
+  TestPlan plan;
+  std::shared_ptr<const TestResult> last;
+  uint64_t last_trial = 0;
+};
+
+}  // namespace
+
+Verdict TestRunner::Verify(const GeneratedInstance& instance, int64_t* executions,
+                           std::shared_ptr<const TestResult> first_hetero) const {
   Verdict verdict;
   const std::vector<std::string> values = instance.plan.assigner.DistinctValues();
 
   // Plans are built once and reused across every trial below, so the
   // memoized fingerprint/seed on each plan is computed exactly once per
   // verification instead of once per run.
-  const TestPlan hetero_plan = HeteroPlan(instance);
-  std::vector<TestPlan> homo_plans;
-  homo_plans.reserve(values.size());
+  PlanTrials hetero{HeteroPlan(instance), std::move(first_hetero), 0};
+  std::vector<PlanTrials> homos;
+  homos.reserve(values.size());
   for (const std::string& value : values) {
-    homo_plans.push_back(HomoPlan(instance, value));
+    homos.push_back(PlanTrials{HomoPlan(instance, value), nullptr, 0});
   }
 
-  auto run = [&](const TestPlan& plan, uint64_t trial) {
+  // One logical run: executed unless the plan's latest result already is
+  // this trial's outcome — the same trial, or a run that never consulted its
+  // trial (the whole nondeterminism of a run is its per-trial RNG).
+  auto run = [&](PlanTrials& runs, uint64_t trial) -> const TestResult& {
     ++*executions;
-    return RunUnitTestShared(*instance.test, plan, trial);
+    if (runs.last == nullptr ||
+        (runs.last->trial_sensitive && runs.last_trial != trial)) {
+      runs.last = RunUnitTestShared(*instance.test, runs.plan, trial);
+      runs.last_trial = trial;
+    }
+    return *runs.last;
   };
 
   // First trial(s): heterogeneous runs. With first_trials_ > 1 a
@@ -49,13 +68,12 @@ Verdict TestRunner::Verify(const GeneratedInstance& instance,
   // (the §5 false-negative mitigation).
   bool hetero_failed_once = false;
   for (int attempt = 0; attempt < first_trials_; ++attempt) {
-    std::shared_ptr<const TestResult> hetero =
-        run(hetero_plan, static_cast<uint64_t>(attempt));
+    const TestResult& result = run(hetero, static_cast<uint64_t>(attempt));
     ++verdict.hetero_trials;
-    if (!hetero->passed) {
+    if (!result.passed) {
       hetero_failed_once = true;
       ++verdict.hetero_failures;
-      verdict.witness_failure = hetero->failure;
+      verdict.witness_failure = result.failure;
       break;
     }
   }
@@ -65,10 +83,9 @@ Verdict TestRunner::Verify(const GeneratedInstance& instance,
 
   // First trial: every corresponding homogeneous configuration must pass,
   // otherwise the failure cannot be attributed to heterogeneity.
-  for (const TestPlan& homo_plan : homo_plans) {
-    std::shared_ptr<const TestResult> homo = run(homo_plan, 0);
+  for (PlanTrials& homo : homos) {
     ++verdict.homo_trials;
-    if (!homo->passed) {
+    if (!run(homo, 0).passed) {
       ++verdict.homo_failures;
       return verdict;  // kNotCandidate
     }
@@ -80,18 +97,17 @@ Verdict TestRunner::Verify(const GeneratedInstance& instance,
     // Trial numbers continue past the first-trial attempts so every run rolls
     // fresh nondeterminism.
     uint64_t trial = static_cast<uint64_t>(first_trials_ + round);
-    std::shared_ptr<const TestResult> extra_hetero = run(hetero_plan, trial);
+    const TestResult& extra_hetero = run(hetero, trial);
     ++verdict.hetero_trials;
-    if (!extra_hetero->passed) {
+    if (!extra_hetero.passed) {
       ++verdict.hetero_failures;
       if (verdict.witness_failure.empty()) {
-        verdict.witness_failure = extra_hetero->failure;
+        verdict.witness_failure = extra_hetero.failure;
       }
     }
-    for (const TestPlan& homo_plan : homo_plans) {
-      std::shared_ptr<const TestResult> extra_homo = run(homo_plan, trial);
+    for (PlanTrials& homo : homos) {
       ++verdict.homo_trials;
-      if (!extra_homo->passed) {
+      if (!run(homo, trial).passed) {
         ++verdict.homo_failures;
       }
     }

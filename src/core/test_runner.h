@@ -7,11 +7,21 @@
 // hypothesis testing — a one-sided Fisher exact test at the configured
 // significance level (the paper's 0.0001) — to filter nondeterministic
 // failures. Extra trials run only for candidates, exactly as in §5.
+//
+// A trial whose outcome is already known is answered without executing:
+// Verify keeps the latest result of its heterogeneous plan and of each
+// homogeneous control, and a result that never consulted its trial
+// (TestResult::trial_sensitive false) is the outcome of every later trial of
+// that plan. The caller may also hand in the heterogeneous plan's trial-0
+// result it already holds. Answered trials still count as executions: the
+// verdict, its trial counts and Table-5 accounting are exactly those of
+// executing every trial; only real executions and their durations drop.
 
 #ifndef SRC_CORE_TEST_RUNNER_H_
 #define SRC_CORE_TEST_RUNNER_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "src/core/test_generator.h"
@@ -43,8 +53,13 @@ class TestRunner {
   // time-saving mode).
   explicit TestRunner(double significance = 1e-4, int first_trials = 1);
 
-  // Verifies one instance. Every unit-test execution increments *executions.
-  Verdict Verify(const GeneratedInstance& instance, int64_t* executions) const;
+  // Verifies one instance. Every logical unit-test run, executed or answered
+  // from a known result, increments *executions. `first_hetero`, when set, is
+  // the result of the heterogeneous plan (the instance's plan alone) at trial
+  // 0 — bisection's failing one-instance pool is exactly that run — and
+  // stands in for the first heterogeneous trial.
+  Verdict Verify(const GeneratedInstance& instance, int64_t* executions,
+                 std::shared_ptr<const TestResult> first_hetero = nullptr) const;
 
  private:
   TestPlan HeteroPlan(const GeneratedInstance& instance) const;

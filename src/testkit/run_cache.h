@@ -2,23 +2,23 @@
 //
 // RunUnitTest is a pure function of the (test id, TestPlan, trial) triple —
 // all nondeterminism is injected through the RNG seeded from exactly that
-// triple (see test_context.h). The campaign nevertheless re-executes
-// bitwise-identical runs all the time:
+// triple (see test_context.h). Within one verification the repeats are the
+// verifier's job: TestRunner::Verify answers the later trials of a
+// deterministic plan, and bisection's failing one-instance run, from results
+// it already holds, without a lookup (test_runner.h). What still reaches the
+// cache as an identical triple is what no single call site can see:
 //
-//   * bisection re-probes: a failing pool half of size one is re-run by
-//     TestRunner::Verify with the very same single-parameter plan,
-//   * homogeneous controls: instances of the same parameter share distinct
-//     values, so Verify issues the same homogeneous control plan repeatedly,
-//   * first_trials repeats and hypothesis-testing rounds of *deterministic*
-//     tests: different trial numbers, provably identical results (the body
-//     never consumed the per-trial RNG),
-//   * pre-run baselines: every re-dispatch or repeated campaign pre-runs the
-//     test with the same empty plan.
+//   * re-dispatched units: a stale or requeued unit of the thread pool or
+//     the fabric runs its pre-run and dynamic phase again,
+//   * repeated campaigns: a warm-started cache file, a persistent agent
+//     cache, or a second Run() on the same engine asks every run again,
+//   * homogeneous controls shared by separate verifications of one
+//     parameter (6 of the 1,555 lookups of a full sequential campaign).
 //
 // The cache keys results by a canonical fingerprint of the triple and serves
 // repeats without executing. Executions that provably never observed the
-// trial number are additionally stored under a trial-wildcard key, so later
-// trials of the same (test, plan) hit as well.
+// trial number are additionally stored under a trial-wildcard key, so any
+// trial of the same (test, plan) hits as well.
 //
 // Keys are 128-bit FNV-1a digests (common/strings.h Digest128) of the legacy
 // string keys — test id, plan fingerprint, and trial joined with '\x1f', plus
@@ -50,7 +50,8 @@
 // exactly what a real run would return. Stage counters (executed_runs and
 // friends) are incremented by the call sites *before* RunUnitTest, so Table-5
 // accounting is identical with the cache on or off; only wall-clock (and the
-// run-duration profile) shrinks.
+// run-duration profile) shrinks. Lookups therefore number fewer than logical
+// runs: a run the verifier answers itself is counted but never looked up.
 //
 // Growth is bounded: Limits sets an entry and/or byte budget enforced by LRU
 // eviction. Evicting can only turn future hits into misses (re-executions),

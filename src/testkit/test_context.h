@@ -45,8 +45,9 @@ class TestContext {
   }
 
   // True if this execution could depend on the trial number: the body either
-  // drew from the per-trial RNG or read trial() directly. When false, the run
-  // cache may reuse the result across trials (the test is deterministic).
+  // drew from the per-trial RNG or read trial() directly. When false, the
+  // result stands for every trial of the same (test, plan): TestRunner and
+  // the run cache reuse it instead of executing again.
   bool TrialSensitive() const { return trial_observed_ || rng_.draws() > 0; }
 
   Cluster& cluster() { return cluster_; }

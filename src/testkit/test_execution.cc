@@ -34,9 +34,9 @@ int64_t SyntheticRunLatencyUs() {
 
 namespace {
 
-// Executes `test` once under `plan` (no cache consulted) and fills `result`;
-// returns whether the body consumed the per-trial RNG.
-bool Execute(const UnitTestDef& test, const TestPlan& plan, uint64_t trial,
+// Executes `test` once under `plan` (no cache consulted) and fills `result`,
+// including whether the body consulted its trial.
+void Execute(const UnitTestDef& test, const TestPlan& plan, uint64_t trial,
              SessionRecording recording, TestResult* result) {
   auto start = std::chrono::steady_clock::now();
   if (int64_t latency_us = SyntheticRunLatencyUs(); latency_us > 0) {
@@ -57,12 +57,12 @@ bool Execute(const UnitTestDef& test, const TestPlan& plan, uint64_t trial,
     ZLOG_DEBUG << test.id << " failed: " << e.what();
   }
   result->report = session.End();
+  result->trial_sensitive = context.TrialSensitive();
   if (g_duration_collector != nullptr) {
     g_duration_collector->push_back(
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count());
   }
-  return context.TrialSensitive();
 }
 
 }  // namespace
@@ -108,18 +108,17 @@ std::shared_ptr<const TestResult> RunUnitTestShared(const UnitTestDef& test,
   // result, serves it to any later caller and indexes it by observed trace.
   // Every other run is judged on passed/failure alone.
   auto result = std::make_shared<TestResult>();
-  const bool trial_sensitive =
-      Execute(test, plan, trial,
-              cache != nullptr || plan.empty() ? SessionRecording::kFull
-                                               : SessionRecording::kVerdictOnly,
-              result.get());
+  Execute(test, plan, trial,
+          cache != nullptr || plan.empty() ? SessionRecording::kFull
+                                           : SessionRecording::kVerdictOnly,
+          result.get());
   if (cache != nullptr) {
     const std::string observed_trace = ObservedTraceText(result->report);
     // The cache shares this exact payload across its key aliases — the
     // insert allocates no TestResult copy.
     cache->Insert(test.id, plan.Fingerprint(), trial,
-                  /*trial_insensitive=*/!trial_sensitive, result, equiv_query,
-                  &observed_trace);
+                  /*trial_insensitive=*/!result->trial_sensitive, result,
+                  equiv_query, &observed_trace);
   }
   return result;
 }

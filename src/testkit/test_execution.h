@@ -19,6 +19,12 @@ namespace zebra {
 
 struct TestResult {
   bool passed = false;
+  // Whether the run consulted its trial (TestContext::TrialSensitive). When
+  // false, every trial of the same (test, plan) has this outcome, so callers
+  // may answer later trials from it instead of executing them (TestRunner
+  // does, as does the run cache's trial-wildcard key). True for a result no
+  // execution produced in this process, such as one loaded from a cache file.
+  bool trial_sensitive = true;
   std::string failure;    // first failure message (empty when passed)
   SessionReport report;   // what ConfAgent observed (see the entry points)
 };
@@ -35,7 +41,11 @@ TestResult RunUnitTest(const UnitTestDef& test, const TestPlan& plan, uint64_t t
 // refcount bump (no TestResult deep copy), and a real execution's result is
 // inserted into the cache and returned through the same shared payload. The
 // pointee is immutable and safe to share across threads; it is never null.
-// Campaign hot paths that only inspect `passed`/`failure` use this.
+// Campaign hot paths that only inspect `passed`/`failure` use this. They ask
+// only for outcomes they do not hold yet: TestRunner::Verify answers a later
+// trial of a plan from its trial-insensitive result and takes bisection's
+// failing one-instance run as its first heterogeneous trial, so such repeats
+// neither execute nor consult the cache.
 //
 // Records only when a reader needs it: for the empty plan (the pre-run
 // TestGenerator and the read surface consume) and when a run cache is
@@ -47,9 +57,10 @@ std::shared_ptr<const TestResult> RunUnitTestShared(const UnitTestDef& test,
                                                     uint64_t trial);
 
 // Installs a collector that receives the wall-clock duration (seconds) of
-// every subsequent *real* RunUnitTest execution (run-cache hits execute
-// nothing and record nothing); pass nullptr to uninstall. Used by the
-// campaign to feed the fleet cost model.
+// every subsequent *real* RunUnitTest execution (run-cache hits, and trials a
+// caller answers from a result it holds, execute nothing and record nothing);
+// pass nullptr to uninstall. Used by the campaign to feed the fleet cost
+// model, and by tests to count real executions.
 //
 // Ownership and thread model: the collector pointer is thread-local state.
 // Exactly one campaign engine per thread may install it at a time, and the

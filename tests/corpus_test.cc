@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/test_generator.h"
+#include "src/testkit/full_schema.h"
 #include "src/testkit/ground_truth.h"
 #include "src/testkit/run_cache.h"
 #include "src/testkit/test_execution.h"
@@ -96,6 +98,58 @@ TEST(CorpusTest, SameTrialIsDeterministic) {
     TestResult b = RunUnitTest(test, TestPlan{}, 7);
     EXPECT_EQ(a.passed, b.passed) << test.id;
   }
+}
+
+// The premise TestRunner and the run cache's trial-wildcard key rest on: all
+// nondeterminism flows through the per-trial RNG, so a run that reports
+// itself trial-insensitive has the same outcome at every trial. Checked for
+// every corpus test under the empty plan and under one heterogeneous plan
+// (the first generated instance that fails, else the first instance). The
+// seeded-flaky tests always draw under the empty plan; a heterogeneous plan
+// may fail them before the draw, which makes that run trial-insensitive.
+TEST(CorpusTest, TrialInsensitiveRunsHaveOneOutcomeAtEveryTrial) {
+  TestGenerator generator(FullSchema(), FullCorpus());
+  int insensitive_runs = 0;
+  for (const UnitTestDef& test : FullCorpus().tests()) {
+    std::vector<TestPlan> plans(1);  // the empty plan
+    int64_t prerun_executions = 0;
+    int64_t before_uncertainty = 0;
+    const std::vector<GeneratedInstance> instances = generator.Generate(
+        generator.PreRunTest(test, &prerun_executions), &before_uncertainty);
+    for (const GeneratedInstance& instance : instances) {
+      TestPlan plan;
+      plan.Add(instance.plan);
+      const bool fails = !RunUnitTestShared(test, plan, /*trial=*/0)->passed;
+      if (fails || plans.size() == 1) {
+        plans.resize(1);
+        plans.push_back(std::move(plan));
+      }
+      if (fails) {
+        break;
+      }
+    }
+
+    for (const TestPlan& plan : plans) {
+      std::shared_ptr<const TestResult> first = RunUnitTestShared(test, plan, 0);
+      if (IsFlakyTest(test.id) && plan.empty()) {
+        EXPECT_TRUE(first->trial_sensitive)
+            << test.id << " draws from the per-trial RNG";
+      }
+      if (first->trial_sensitive) {
+        continue;
+      }
+      ++insensitive_runs;
+      for (uint64_t trial = 1; trial <= 3; ++trial) {
+        std::shared_ptr<const TestResult> again = RunUnitTestShared(test, plan, trial);
+        EXPECT_EQ(again->passed, first->passed)
+            << test.id << " [" << plan.Describe() << "] trial " << trial;
+        EXPECT_EQ(again->failure, first->failure)
+            << test.id << " [" << plan.Describe() << "] trial " << trial;
+        EXPECT_FALSE(again->trial_sensitive) << test.id;
+      }
+    }
+  }
+  EXPECT_GT(insensitive_runs, 100) << "most corpus runs never consult their trial";
 }
 
 TEST(CorpusTest, NoNodeTestsReportNoNodes) {

@@ -77,10 +77,13 @@ TEST_F(PipelineE2eTest, EveryFindingHasAWitnessAndSignificance) {
 }
 
 TEST_F(PipelineE2eTest, RunDurationsFeedTheFleetModel) {
-  ASSERT_EQ(static_cast<int64_t>(Report().run_durations_seconds.size()),
-            Report().total_unit_test_runs);
+  // One duration per real execution. The verifier answers later trials of
+  // deterministic plans, and bisection's failing one-instance run, from
+  // results it already holds, so 1,555 of the 2,894 logical runs execute.
+  EXPECT_EQ(Report().total_unit_test_runs, 2894);
+  ASSERT_EQ(Report().run_durations_seconds.size(), 1555u);
   FleetEstimate fleet = EstimateFleet(Report().run_durations_seconds, 100, 20);
-  EXPECT_EQ(fleet.runs, Report().total_unit_test_runs);
+  EXPECT_EQ(fleet.runs, static_cast<int64_t>(Report().run_durations_seconds.size()));
   EXPECT_GT(fleet.total_cpu_seconds, 0.0);
   EXPECT_LE(fleet.makespan_seconds, fleet.total_cpu_seconds);
 }

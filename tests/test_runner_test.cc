@@ -3,9 +3,13 @@
 
 #include "src/core/test_runner.h"
 
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/testkit/full_schema.h"
+#include "src/testkit/test_execution.h"
 #include "src/testkit/unit_test_registry.h"
 
 namespace zebra {
@@ -142,6 +146,132 @@ TEST(TestRunnerTest, ExecutionCountingIsExact) {
   Verdict verdict = runner.Verify(instance, &executions);
   ASSERT_EQ(verdict.kind, Verdict::Kind::kConfirmedUnsafe);
   EXPECT_EQ(executions, verdict.hetero_trials + verdict.homo_trials);
+}
+
+// Counts real executions (the duration collector sees only those) while in
+// scope; Verify's `executions` counts logical runs.
+class ExecutionCounter {
+ public:
+  ExecutionCounter() { SetRunDurationCollector(&durations_); }
+  ~ExecutionCounter() { SetRunDurationCollector(nullptr); }
+  ExecutionCounter(const ExecutionCounter&) = delete;
+  ExecutionCounter& operator=(const ExecutionCounter&) = delete;
+  int64_t count() const { return static_cast<int64_t>(durations_.size()); }
+
+ private:
+  std::vector<double> durations_;
+};
+
+std::shared_ptr<const TestResult> RunHeteroTrialZero(const GeneratedInstance& instance) {
+  TestPlan plan;
+  plan.Add(instance.plan);
+  return RunUnitTestShared(*instance.test, plan, /*trial=*/0);
+}
+
+void ExpectSameVerdict(const Verdict& actual, const Verdict& expected) {
+  EXPECT_EQ(actual.kind, expected.kind);
+  EXPECT_EQ(actual.p_value, expected.p_value);
+  EXPECT_EQ(actual.hetero_failures, expected.hetero_failures);
+  EXPECT_EQ(actual.hetero_trials, expected.hetero_trials);
+  EXPECT_EQ(actual.homo_failures, expected.homo_failures);
+  EXPECT_EQ(actual.homo_trials, expected.homo_trials);
+  EXPECT_EQ(actual.witness_failure, expected.witness_failure);
+}
+
+TEST(TestRunnerTest, DeterministicCandidateExecutesEachPlanOnce) {
+  // The protocol mismatch never draws from the per-trial RNG, so each of its
+  // three plans (heterogeneous, homogeneous "true", homogeneous "false") has
+  // one outcome at every trial: each executes once, and the remaining trials
+  // are answered from that result. The logical accounting is unchanged.
+  GeneratedInstance instance = MakeInstance(
+      "minikv.TestThriftAdminCreateTable", "hbase.regionserver.thrift.compact",
+      ValueAssigner::UniformGroup("ThriftServer", "true", "false"));
+  int64_t executions = 0;
+  ExecutionCounter counter;
+  Verdict verdict = TestRunner().Verify(instance, &executions);
+  ASSERT_EQ(verdict.kind, Verdict::Kind::kConfirmedUnsafe);
+  EXPECT_EQ(verdict.hetero_trials, 6);
+  EXPECT_EQ(verdict.hetero_failures, 6);
+  EXPECT_EQ(verdict.homo_trials, 12);
+  EXPECT_EQ(verdict.homo_failures, 0);
+  EXPECT_EQ(executions, 18);
+  EXPECT_EQ(counter.count(), 3) << "one heterogeneous run and one per control";
+}
+
+// The first value pair of `param` under which the verdict of `test_id` enters
+// hypothesis testing (first-trial candidate), so that every kind of trial runs.
+GeneratedInstance FirstCandidate(const std::string& test_id, const std::string& group,
+                                 const std::string& param) {
+  const char* values[] = {"1", "2", "3", "5", "8", "13", "21", "35", "55", "89"};
+  for (const char* a : values) {
+    for (const char* b : values) {
+      if (std::string(a) == b) {
+        continue;
+      }
+      GeneratedInstance instance =
+          MakeInstance(test_id, param, ValueAssigner::UniformGroup(group, a, b));
+      int64_t executions = 0;
+      if (TestRunner().Verify(instance, &executions).kind !=
+          Verdict::Kind::kNotCandidate) {
+        return instance;
+      }
+    }
+  }
+  ADD_FAILURE() << "no first-trial candidate for " << test_id;
+  return MakeInstance(test_id, param, ValueAssigner::UniformGroup(group, "1", "2"));
+}
+
+TEST(TestRunnerTest, SeededFlakyTestsExecuteEveryLogicalRun) {
+  // The seeded-flaky tests draw from the per-trial RNG, so no result of
+  // theirs stands for another trial: every logical run executes, except the
+  // trial-0 heterogeneous run when the caller hands it in.
+  for (const char* test_id :
+       {"minidfs.TestFlakyReplicationMonitor", "minikv.TestFlakyMasterFailover",
+        "ministream.TestFlakyCheckpointBarrier"}) {
+    GeneratedInstance instance =
+        FirstCandidate(test_id, "Client", "hbase.client.retries.number");
+    int64_t executions = 0;
+    Verdict verdict;
+    {
+      ExecutionCounter counter;
+      verdict = TestRunner().Verify(instance, &executions);
+      EXPECT_EQ(counter.count(), executions) << test_id;
+    }
+    EXPECT_GT(executions, 3) << test_id << " must reach hypothesis testing";
+
+    std::shared_ptr<const TestResult> first = RunHeteroTrialZero(instance);
+    ASSERT_TRUE(first->trial_sensitive) << test_id;
+    int64_t handed_executions = 0;
+    ExecutionCounter counter;
+    ExpectSameVerdict(TestRunner().Verify(instance, &handed_executions, first), verdict);
+    EXPECT_EQ(handed_executions, executions) << test_id;
+    EXPECT_EQ(counter.count(), executions - 1) << test_id;
+  }
+}
+
+TEST(TestRunnerTest, HandedTrialZeroResultSavesExactlyOneExecution) {
+  // Bisection's failing one-instance pool is the verifier's trial-0
+  // heterogeneous run: handing it in answers that trial and nothing else.
+  GeneratedInstance instance = MakeInstance(
+      "minikv.TestThriftAdminCreateTable", "hbase.regionserver.thrift.compact",
+      ValueAssigner::UniformGroup("ThriftServer", "true", "false"));
+  int64_t executions = 0;
+  int64_t executed = 0;
+  Verdict verdict;
+  {
+    ExecutionCounter counter;
+    verdict = TestRunner().Verify(instance, &executions);
+    executed = counter.count();
+  }
+  std::shared_ptr<const TestResult> first = RunHeteroTrialZero(instance);
+  ASSERT_FALSE(first->passed);
+  ASSERT_FALSE(first->trial_sensitive);
+
+  int64_t handed_executions = 0;
+  ExecutionCounter counter;
+  ExpectSameVerdict(TestRunner().Verify(instance, &handed_executions, first), verdict);
+  EXPECT_EQ(handed_executions, executions);
+  EXPECT_EQ(counter.count(), executed - 1);
 }
 
 }  // namespace
