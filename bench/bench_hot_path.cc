@@ -129,13 +129,15 @@ void operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept {
 namespace zebra {
 namespace {
 
-// Allocations per logical run the cached sequential engine must stay under.
-// Post-refactor the full corpus measures ~304 allocs/run (down from ~637 at
-// the PR 8 pre-refactor baseline — the cache layer's string keys, per-alias
-// deep copies, and copy-out hits used to *add* ~240 allocs/run on top of
-// plain execution). 360 holds the ≥30% reduction (the bar is ≤445.8) while
-// leaving headroom for legitimate growth of the corpus or the pipeline.
-constexpr double kAllocsPerRunCeiling = 360.0;
+// Allocations per logical run the cached sequential engine (run cache and
+// equivalence layer on) must stay under. A cached heterogeneous run records
+// only its trace (its unit's read surface is installed), the cache entry
+// keeps that trace as the one joined string, and the insert reuses the key
+// digests its lookup derived, measuring about 158 (about 637 before the
+// cache keys were hashed, 304 after, 192 before cached runs recorded only
+// what the cache reads). Recording every cached run whole and keeping its
+// session in the entry again reads about 183, so it trips this ceiling.
+constexpr double kAllocsPerRunCeiling = 165.0;
 
 // Allocations per logical run the uncached sequential engine must stay
 // under. Its heterogeneous runs keep only their verdict (no ConfAgent read

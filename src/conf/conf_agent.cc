@@ -143,7 +143,8 @@ void ConfAgent::BeginSessionBorrowed(const TestPlan* plan,
   ClearMemosLocked();
   session_ = std::make_unique<Session>();
   session_->plan = plan != nullptr ? plan : &session_->owned_plan;
-  session_->recording = recording == SessionRecording::kFull;
+  session_->record_reads = recording == SessionRecording::kFull;
+  session_->record_trace = recording != SessionRecording::kVerdictOnly;
   in_session_.store(true, std::memory_order_release);
 }
 
@@ -348,8 +349,8 @@ const std::string* ConfAgent::InterceptGet(uint64_t conf_id, std::string_view na
   }
 
   // First read of this (conf, param) pair. A recording session renders each
-  // string into the agent's buffer and copies it into its set only when new;
-  // a verdict-only one renders nothing.
+  // string it records into the agent's buffer and copies it into its set
+  // only when new; a verdict-only one renders nothing.
   const std::string_view interned = InternLocked(name);
   int node_index = -1;
   std::optional<std::string_view> entity = ResolveEntityLocked(conf_id, &node_index);
@@ -358,9 +359,11 @@ const std::string* ConfAgent::InterceptGet(uint64_t conf_id, std::string_view na
     // default) or one we could not map — both are uncertain usage. Uncertain
     // confs never receive overrides, so the trace marker is plan-invariant
     // and the memoized decision is stable.
-    if (session_->recording) {
+    if (session_->record_reads) {
       record_buffer_.assign(interned);
       RecordBufferLocked(&report.uncertain_params);
+    }
+    if (session_->record_trace) {
       TraceUncertainElement(&record_buffer_, interned);
       RecordBufferLocked(&report.trace_elements);
     }
@@ -371,9 +374,11 @@ const std::string* ConfAgent::InterceptGet(uint64_t conf_id, std::string_view na
   // Only node-owned and unit-test-owned confs receive plan values.
   int index = (*entity == kClientEntity) ? 0 : node_index;
   const std::string* assigned = session_->plan->Lookup(interned, *entity, index);
-  if (session_->recording) {
+  if (session_->record_reads) {
     record_buffer_.assign(interned);
     RecordBufferLocked(&report.reads[std::string(*entity)]);
+  }
+  if (session_->record_trace) {
     TraceReadElement(&record_buffer_, *entity, index, interned, assigned);
     RecordBufferLocked(&report.trace_elements);
   }
@@ -389,7 +394,7 @@ void ConfAgent::InterceptHas(uint64_t conf_id, std::string_view name) {
     return;
   }
   std::lock_guard<std::mutex> lock(mutex_);
-  if (session_ == nullptr || !session_->recording) {
+  if (session_ == nullptr || !session_->record_trace) {
     return;
   }
   // A presence check is pure recording; once the trace element for this

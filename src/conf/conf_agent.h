@@ -43,14 +43,17 @@
 // promotion (Rule 2 back-propagation changes how an existing conf resolves)
 // clear the memo, in O(1).
 //
-// Recording. Only two readers need what a session observed: the empty-plan
-// pre-run, whose reads drive test generation (§6) and the equivalence
-// layer's read surface, and the run cache, which stores the whole result and
-// indexes it by observed trace. Every other heterogeneous run is judged on
-// pass/fail alone (§5). A session therefore either records (kFull: `reads`,
-// `uncertain_params` and `trace_elements`, each string built once) or keeps
-// just its verdict (kVerdictOnly: ownership, the memo, plan lookups and the
-// values they serve, counters and flags — no recorded strings at all).
+// Recording. Two readers need what a session observed. The empty-plan
+// pre-run's reads drive test generation (§6) and its trace builds the
+// equivalence layer's read surface; that run records everything (kFull:
+// `reads`, `uncertain_params` and `trace_elements`, each string built once).
+// The run cache indexes a heterogeneous run by its observed trace, which an
+// equivalence lookup can only match when a read surface is installed; such a
+// run records its trace alone (kTraceOnly: `trace_elements` byte-identical
+// to kFull's, no `reads` or `uncertain_params`). Every other heterogeneous
+// run is judged on pass/fail alone (§5) and keeps just its verdict
+// (kVerdictOnly: ownership, the memo, plan lookups and the values they
+// serve, counters and flags — no recorded strings at all).
 // RunUnitTestShared (testkit/test_execution.h) picks the mode per run.
 
 #ifndef SRC_CONF_CONF_AGENT_H_
@@ -79,10 +82,11 @@ class Configuration;
 
 // What one ConfAgent session observed. TestGenerator's pre-run consumes this
 // to decide which (test, parameter, node type) combinations are effective.
-// `reads`, `uncertain_params` and `trace_elements` are filled only by a
-// recording session (SessionRecording::kFull): the pre-run and cache-bound
-// runs that read them. A verdict-only session leaves the three empty and
-// fills every other field as a recording one would.
+// `reads` and `uncertain_params` are filled only by a full recording
+// (SessionRecording::kFull: the pre-run and the runs that inspect their read
+// map), `trace_elements` by a full or a trace-only one (kTraceOnly: runs the
+// run cache indexes by observed trace). A verdict-only session leaves all
+// three empty. Every mode fills every other field alike.
 struct SessionReport {
   // Node type -> number of node instances that ran startInit.
   std::map<std::string, int> node_counts;
@@ -124,10 +128,11 @@ struct SessionReport {
   std::set<std::string> AllParamsRead() const;
 };
 
-// Whether a session records the strings of its observations (see the header
+// Which strings of its observations a session records (see the header
 // comment's "Recording").
 enum class SessionRecording {
   kFull,         // reads, uncertain_params and trace_elements
+  kTraceOnly,    // trace_elements only, byte-identical to kFull's
   kVerdictOnly,  // counters and flags only; the caller reads pass/fail
 };
 
@@ -192,8 +197,8 @@ class ConfAgent {
   // session trace (a plan override never changes what Has() returns, but the
   // equivalence layer must still see that the parameter was observed).
   // Deliberately does not touch `reads`/`uncertain_params`/`any_conf_usage`,
-  // so test generation is unchanged by presence checks. Recording is all it
-  // does, so a verdict-only session returns at once.
+  // so test generation is unchanged by presence checks. Recording the trace
+  // is all it does, so a verdict-only session returns at once.
   void InterceptHas(uint64_t conf_id, std::string_view name);
 
   // Interception of Configuration::Set: propagates the write to the parent
@@ -281,7 +286,8 @@ class ConfAgent {
     // the session is active.
     TestPlan owned_plan;
     const TestPlan* plan = nullptr;
-    bool recording = true;  // SessionRecording::kFull
+    bool record_reads = true;  // kFull: reads and uncertain_params
+    bool record_trace = true;  // kFull or kTraceOnly: trace_elements
     std::map<uint64_t, NodeInfo> node_table;           // node_id -> info
     std::map<uint64_t, uint64_t> conf_to_node;         // conf_id -> node_id
     std::set<uint64_t> unit_test_conf_ids;
@@ -322,8 +328,8 @@ class ConfAgent {
   InternArena intern_;  // agent-lifetime; views outlive every session
   // Both memos are guarded by mutex_ (every thread of a session reads and
   // fills them) and valid for the current session until a promotion. Reads
-  // memoize their plan value; presence checks (recording sessions only) use
-  // a slot just to mark their trace element recorded.
+  // memoize their plan value; presence checks (trace-recording sessions
+  // only) use a slot just to mark their trace element recorded.
   ReadMemo get_memo_;
   ReadMemo has_memo_;
   std::string record_buffer_;  // scratch for RecordBufferLocked; keeps capacity

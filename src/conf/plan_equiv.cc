@@ -16,19 +16,26 @@ constexpr char kTraceJoin = '\x1e';
 constexpr std::string_view kHasPrefix = "@h:";
 constexpr std::string_view kUncertainPrefix = "@u:";
 
-// Every element renderer goes through these two appenders, so the recorder
-// (ConfAgent), the predictor and the restriction check cannot drift. The head
-// is "<prefix>E#i:p"; the tail is "=v" for a plan-served value, "!" otherwise.
+// The node index as every element writes it, rendered into `buffer`.
+std::string_view RenderNodeIndex(int node_index, char (&buffer)[16]) {
+  auto [end, ec] = std::to_chars(buffer, buffer + sizeof(buffer), node_index);
+  (void)ec;  // an int always fits
+  return std::string_view(buffer, static_cast<size_t>(end - buffer));
+}
+
+// Every element renderer goes through these two appenders, and the
+// restriction check parses with their inverse (ParseTraceElement below), so
+// the recorder (ConfAgent), the predictor and the check cannot drift. The
+// head is "<prefix>E#i:p"; the tail is "=v" for a plan-served value, "!"
+// otherwise.
 void AppendObservationHead(std::string* out, std::string_view prefix,
                            std::string_view entity, int node_index,
                            std::string_view param) {
   char index[16];
-  auto [end, ec] = std::to_chars(index, index + sizeof(index), node_index);
-  (void)ec;  // an int always fits
   out->append(prefix);
   out->append(entity);
   *out += '#';
-  out->append(index, end);
+  out->append(RenderNodeIndex(node_index, index));
   *out += ':';
   out->append(param);
 }
@@ -97,10 +104,15 @@ namespace {
 struct ParsedElement {
   enum class Kind { kRead, kHas, kUncertain } kind = Kind::kRead;
   std::string_view entity;
+  std::string_view index_text;  // the node index's digits as written
   int node_index = 0;
   std::string_view param;
+  bool has_value = false;  // "=v" tail (a plan-served value), else "!"
+  std::string_view value;
 };
 
+// Fills `parsed` with views into `element`, allocating nothing. Fails on a
+// node index that is not an int.
 bool ParseTraceElement(std::string_view element, ParsedElement* parsed) {
   if (element.rfind(kUncertainPrefix, 0) == 0) {
     parsed->kind = ParsedElement::Kind::kUncertain;
@@ -122,12 +134,19 @@ bool ParseTraceElement(std::string_view element, ParsedElement* parsed) {
     return false;
   }
   parsed->entity = element.substr(0, hash);
-  parsed->node_index =
-      std::atoi(std::string(element.substr(hash + 1, colon - hash - 1)).c_str());
+  parsed->index_text = element.substr(hash + 1, colon - hash - 1);
+  const char* index_end = parsed->index_text.data() + parsed->index_text.size();
+  auto [end, ec] = std::from_chars(parsed->index_text.data(), index_end,
+                                   parsed->node_index);
+  if (ec != std::errc() || end != index_end) {
+    return false;
+  }
   std::string_view rest = element.substr(colon + 1);
   size_t eq = rest.find('=');
-  if (eq != std::string_view::npos) {
+  parsed->has_value = eq != std::string_view::npos;
+  if (parsed->has_value) {
     parsed->param = rest.substr(0, eq);
+    parsed->value = rest.substr(eq + 1);
   } else {
     if (rest.empty() || rest.back() != '!') {
       return false;
@@ -147,23 +166,20 @@ bool PlanMatchesElement(const TestPlan& plan, std::string_view element) {
   if (parsed.kind == ParsedElement::Kind::kUncertain) {
     return true;  // uncertain confs never receive overrides: plan-invariant
   }
-  std::string expected;
-  expected.reserve(element.size());
-  AppendObservationHead(
-      &expected, parsed.kind == ParsedElement::Kind::kHas ? kHasPrefix : "",
-      parsed.entity, parsed.node_index, parsed.param);
-  AppendObservationTail(
-      &expected, plan.Lookup(parsed.param, parsed.entity, parsed.node_index));
-  return expected == element;
-}
-
-bool PlanMatchesTrace(const TestPlan& plan, const std::set<std::string>& elements) {
-  for (const std::string& element : elements) {
-    if (!PlanMatchesElement(plan, element)) {
-      return false;
-    }
+  // Re-deriving the element under this plan reproduces its prefix, entity
+  // and parameter verbatim, so it matches exactly when the node index is
+  // written as AppendObservationHead writes it and the tail is the one this
+  // plan serves.
+  char index[16];
+  if (parsed.index_text != RenderNodeIndex(parsed.node_index, index)) {
+    return false;
   }
-  return true;
+  const std::string* assigned =
+      plan.Lookup(parsed.param, parsed.entity, parsed.node_index);
+  if (assigned == nullptr) {
+    return !parsed.has_value;
+  }
+  return parsed.has_value && parsed.value == *assigned;
 }
 
 bool PlanReproducesObservedTrace(const TestPlan& plan,

@@ -86,24 +86,23 @@ void TraceUncertainElement(std::string* out, std::string_view param);
 // byte-identically). Unparseable elements never match.
 bool PlanMatchesElement(const TestPlan& plan, std::string_view element);
 
-// True when `plan` would reproduce the execution that observed `elements`:
-// every observed element re-derives byte-identically under this plan's
-// assignments. This is the core soundness check, and it is sufficient even
-// for executions that stopped early (a failing run observes a prefix of its
-// promise): by induction over the read sequence, an execution that agrees on
-// every value actually served follows the stored one step for step — through
-// the same failure, if there was one. Only valid against trial-insensitive
-// executions (the stored run must not have consumed the per-trial RNG); note
-// that RNG consumption is itself path-dependent, so a plan reproducing a
-// trial-insensitive execution is provably trial-insensitive too.
-bool PlanMatchesTrace(const TestPlan& plan, const std::set<std::string>& elements);
-
-// Allocation-light form of the same check against joined traces (both
-// '\x1e'-joined sorted element lists, the run cache's stored encoding).
-// Elements of `observed_trace` found verbatim in `predicted_trace` — the
-// plan's own full promise — are accepted by a linear merge scan; only
+// True when `plan` would reproduce the execution that observed
+// `observed_trace`: every observed element re-derives byte-identically under
+// this plan's assignments. This is the core soundness check, and it is
+// sufficient even for executions that stopped early (a failing run observes
+// a prefix of its promise): by induction over the read sequence, an
+// execution that agrees on every value actually served follows the stored
+// one step for step — through the same failure, if there was one. Only valid
+// against trial-insensitive executions (the stored run must not have
+// consumed the per-trial RNG); note that RNG consumption is itself
+// path-dependent, so a plan reproducing a trial-insensitive execution is
+// provably trial-insensitive too.
+//
+// Both traces are '\x1e'-joined sorted element lists, the run cache's stored
+// encoding. Elements of `observed_trace` found verbatim in `predicted_trace`
+// — the plan's own full promise — are accepted by a linear merge scan; only
 // elements outside the promise (value-gated reads another plan provoked)
-// fall back to per-element re-derivation.
+// fall back to PlanMatchesElement.
 bool PlanReproducesObservedTrace(const TestPlan& plan,
                                  std::string_view observed_trace,
                                  std::string_view predicted_trace);

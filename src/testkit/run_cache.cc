@@ -160,6 +160,12 @@ Digest128 WildcardKeyFromPrefix(Digest128 prefix) {
   return HashFnv128(kSepStar, prefix);
 }
 
+// The wildcard, canonical and trace key shapes end in "\x1f*"; an exact key
+// ends in its trial's digits.
+bool EndsWithSepStar(const std::string& key) {
+  return key.size() >= 2 && key[key.size() - 2] == '\x1f' && key.back() == '*';
+}
+
 }  // namespace
 
 void SetGlobalRunCache(RunCache* cache) { g_run_cache = cache; }
@@ -312,16 +318,16 @@ void RunCache::EnforceLimits() {
 
 const TestResult* RunCache::Lookup(const std::string& test_id,
                                    const std::string& plan_text, uint64_t trial,
-                                   EquivQuery* equiv) {
+                                   RunQuery* query) {
   // The serving node still holds the payload: callers of this overload
   // serialize all access, so nothing can evict it before they read it.
-  std::shared_ptr<const Entry> entry = LookupEntry(test_id, plan_text, trial, equiv);
+  std::shared_ptr<const Entry> entry = LookupEntry(test_id, plan_text, trial, query);
   return entry == nullptr ? nullptr : entry->result.get();
 }
 
 bool RunCache::Lookup(const std::string& test_id, const std::string& plan_text,
-                      uint64_t trial, EquivQuery* equiv, TestResult* out) {
-  std::shared_ptr<const Entry> entry = LookupEntry(test_id, plan_text, trial, equiv);
+                      uint64_t trial, RunQuery* query, TestResult* out) {
+  std::shared_ptr<const Entry> entry = LookupEntry(test_id, plan_text, trial, query);
   if (entry == nullptr) {
     return false;
   }
@@ -331,8 +337,8 @@ bool RunCache::Lookup(const std::string& test_id, const std::string& plan_text,
 
 std::shared_ptr<const TestResult> RunCache::LookupShared(
     const std::string& test_id, const std::string& plan_text, uint64_t trial,
-    EquivQuery* equiv) {
-  std::shared_ptr<const Entry> entry = LookupEntry(test_id, plan_text, trial, equiv);
+    RunQuery* query) {
+  std::shared_ptr<const Entry> entry = LookupEntry(test_id, plan_text, trial, query);
   // The payload is immutable and outlives any eviction, so the caller's
   // pointer is safe without a copy.
   return entry == nullptr ? nullptr : entry->result;
@@ -340,12 +346,16 @@ std::shared_ptr<const TestResult> RunCache::LookupShared(
 
 std::shared_ptr<const RunCache::Entry> RunCache::LookupEntry(
     const std::string& test_id, const std::string& plan_text, uint64_t trial,
-    EquivQuery* equiv) {
+    RunQuery* query) {
   const Digest128 prefix = PlanKeyPrefix(test_id, plan_text);
   const Digest128 wildcard_key = WildcardKeyFromPrefix(prefix);
   const Digest128 exact_key = ExactKeyFromPrefix(prefix, trial);
+  if (query != nullptr) {
+    query->keyed = true;
+    query->prefix = prefix;
+  }
   const bool use_equiv =
-      equiv != nullptr && equiv->surface != nullptr && equiv->plan != nullptr;
+      query != nullptr && query->surface != nullptr && query->plan != nullptr;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (Node* node = Touch(wildcard_key)) {
@@ -365,20 +375,19 @@ std::shared_ptr<const RunCache::Entry> RunCache::LookupEntry(
   // Derive the equivalence keys only now, past the exact fast path (exact
   // hits pay nothing for the layer), and outside the lock.
   bool canonicalized_now = false;
-  if (!equiv->computed) {
-    CanonicalPlan canonical = equiv->surface->Canonicalize(*equiv->plan);
-    equiv->canonical_fingerprint = std::move(canonical.fingerprint);
-    equiv->plan_canonicalized = canonical.changed;
-    equiv->has_trace =
-        equiv->surface->PredictTrace(*equiv->plan, &equiv->predicted_trace);
-    equiv->computed = true;
-    canonicalized_now = equiv->plan_canonicalized;
+  if (!query->computed) {
+    CanonicalPlan canonical = query->surface->Canonicalize(*query->plan);
+    query->canonical_fingerprint = std::move(canonical.fingerprint);
+    query->canonical_key = CanonicalRunKey(test_id, query->canonical_fingerprint);
+    query->plan_canonicalized = canonical.changed;
+    query->has_trace =
+        query->surface->PredictTrace(*query->plan, &query->predicted_trace);
+    if (query->has_trace) {
+      query->trace_key = TraceRunKey(test_id, query->predicted_trace);
+    }
+    query->computed = true;
+    canonicalized_now = query->plan_canonicalized;
   }
-  const Digest128 canonical_key =
-      CanonicalRunKey(test_id, equiv->canonical_fingerprint);
-  const Digest128 trace_key = equiv->has_trace
-                                  ? TraceRunKey(test_id, equiv->predicted_trace)
-                                  : Digest128{};
   // Filled under the lock, matched after it.
   std::vector<Candidate> candidates;
   {
@@ -391,22 +400,22 @@ std::shared_ptr<const RunCache::Entry> RunCache::LookupEntry(
     // stored execution's observed trace matching this plan's prediction —
     // if the pre-run promise was broken (a value-gated read appeared), the
     // traces differ and the serve is refused.
-    if (Node* node = Touch(canonical_key)) {
-      if (equiv->has_trace &&
-          node->entry->observed_trace == equiv->predicted_trace) {
+    if (Node* node = Touch(query->canonical_key)) {
+      if (query->has_trace &&
+          node->entry->observed_trace == query->predicted_trace) {
         ++stats_.equiv_hits;
         return node->entry;
       }
       ++stats_.mispredictions;
     }
-    if (!equiv->has_trace) {
+    if (!query->has_trace) {
       ++stats_.misses;
       return nullptr;
     }
     // Trace index fast path: the key *is* the stored execution's observed
     // trace, so a hit is self-validating — predicted == observed by key
     // equality.
-    if (Node* node = Touch(trace_key)) {
+    if (Node* node = Touch(query->trace_key)) {
       ++stats_.equiv_hits;
       return node->entry;
     }
@@ -421,8 +430,8 @@ std::shared_ptr<const RunCache::Entry> RunCache::LookupEntry(
     }
   }
   for (const Candidate& candidate : candidates) {
-    if (PlanReproducesObservedTrace(*equiv->plan, candidate.entry->observed_trace,
-                                    equiv->predicted_trace)) {
+    if (PlanReproducesObservedTrace(*query->plan, candidate.entry->observed_trace,
+                                    query->predicted_trace)) {
       std::lock_guard<std::mutex> lock(mutex_);
       // Evicted since the snapshot? The shared entry is still the validated
       // execution; only the recency splice is moot.
@@ -439,18 +448,17 @@ std::shared_ptr<const RunCache::Entry> RunCache::LookupEntry(
 void RunCache::Insert(const std::string& test_id, const std::string& plan_text,
                       uint64_t trial, bool trial_insensitive,
                       std::shared_ptr<const TestResult> result,
-                      const EquivQuery* equiv,
-                      const std::string* observed_trace) {
+                      const RunQuery* query, std::string observed_trace) {
   // Everything but the index update happens before the lock: the payload and
   // its byte estimate, then every alias's digest and legacy key, in the
-  // order they are inserted.
+  // order they are inserted. A digest the lookup left in `query` is reused.
   auto entry = std::make_shared<Entry>();
   entry->result = std::move(result);
-  if (observed_trace != nullptr) {
-    entry->observed_trace = *observed_trace;
-  }
+  entry->observed_trace = std::move(observed_trace);
   entry->payload_bytes = PayloadBytes(*entry->result, entry->observed_trace);
   const std::shared_ptr<const Entry> shared = std::move(entry);
+  const std::string& observed = shared->observed_trace;
+  const RunQuery* equiv = query != nullptr && query->computed ? query : nullptr;
 
   struct Alias {
     Digest128 key;
@@ -460,7 +468,9 @@ void RunCache::Insert(const std::string& test_id, const std::string& plan_text,
   Alias aliases[4];
   size_t alias_count = 0;
   bool mispredicted = false;
-  const Digest128 prefix = PlanKeyPrefix(test_id, plan_text);
+  const Digest128 prefix = query != nullptr && query->keyed
+                               ? query->prefix
+                               : PlanKeyPrefix(test_id, plan_text);
   aliases[alias_count++] = {ExactKeyFromPrefix(prefix, trial),
                             ExactKey(test_id, plan_text, trial)};
   // Trial-sensitive executions are never shared across trials or plans: the
@@ -473,19 +483,21 @@ void RunCache::Insert(const std::string& test_id, const std::string& plan_text,
     // deliberately not gated on `equiv`: the pre-run baseline executes
     // before the unit's ReadSurface exists, yet must be reachable by plans
     // that later collapse to it.
-    if (observed_trace != nullptr && !observed_trace->empty()) {
-      aliases[alias_count++] = {TraceRunKey(test_id, *observed_trace),
-                                TraceKey(test_id, *observed_trace),
-                                /*trace=*/true};
-      if (equiv != nullptr && equiv->computed) {
-        if (equiv->has_trace && equiv->predicted_trace != *observed_trace) {
+    if (!observed.empty()) {
+      const bool as_predicted = equiv != nullptr && equiv->has_trace &&
+                                equiv->predicted_trace == observed;
+      aliases[alias_count++] = {
+          as_predicted ? equiv->trace_key : TraceRunKey(test_id, observed),
+          TraceKey(test_id, observed), /*trace=*/true};
+      if (equiv != nullptr) {
+        if (equiv->has_trace && !as_predicted) {
           // The pre-run promise was broken for this plan: a value-gated read
           // appeared or a promised read vanished. The canonical index would
           // conflate this run with plans it is not equivalent to, so skip it.
           mispredicted = true;
         } else {
           aliases[alias_count++] = {
-              CanonicalRunKey(test_id, equiv->canonical_fingerprint),
+              equiv->canonical_key,
               CanonicalKey(test_id, equiv->canonical_fingerprint)};
         }
       }
@@ -507,10 +519,11 @@ void RunCache::Insert(const std::string& test_id, const std::string& plan_text,
 
 void RunCache::Insert(const std::string& test_id, const std::string& plan_text,
                       uint64_t trial, bool trial_insensitive,
-                      const TestResult& result, const EquivQuery* equiv,
-                      const std::string* observed_trace) {
+                      const TestResult& result, const RunQuery* query,
+                      std::string observed_trace) {
   Insert(test_id, plan_text, trial, trial_insensitive,
-         std::make_shared<const TestResult>(result), equiv, observed_trace);
+         std::make_shared<const TestResult>(result), query,
+         std::move(observed_trace));
 }
 
 bool RunCache::InsertAliasForTesting(Digest128 key, std::string legacy_key,
@@ -556,12 +569,9 @@ bool RunCache::SaveToFile(const std::string& path) const {
 // hot path uses (parsing the legacy shape: tagged canonical/trace keys, then
 // exact/wildcard). Returns false for a shape SaveToFile never emits.
 bool RunCache::DeriveComponentDigest(const std::string& key, Digest128* out) {
-  auto ends_with_sep_star = [&key] {
-    return key.size() >= 2 && key[key.size() - 2] == '\x1f' && key.back() == '*';
-  };
   if (key.size() >= 2 && (key[0] == 'C' || key[0] == 'T') && key[1] == '\x1f') {
     size_t id_end = key.find('\x1f', 2);
-    if (id_end == std::string::npos || !ends_with_sep_star() ||
+    if (id_end == std::string::npos || !EndsWithSepStar(key) ||
         id_end + 1 > key.size() - 2) {
       return false;
     }
@@ -657,6 +667,10 @@ bool RunCache::LoadFromFile(const std::string& path) {
       return reject("truncated or corrupt entry");
     }
     result->passed = passed == "1";
+    // Insert stores the wildcard, canonical and trace aliases of
+    // trial-insensitive runs only, so a record under one of them carries
+    // that proof; an exact record stays trial-sensitive.
+    result->trial_sensitive = !EndsWithSepStar(key);
     entry->result = std::move(result);
     entry->payload_bytes = PayloadBytes(*entry->result, entry->observed_trace);
     // The hashed/legacy agreement gate: the digest of the whole persisted
@@ -702,6 +716,11 @@ bool RunCache::LoadFromFile(const std::string& path) {
   uint64_t content_digest = digest;
   if (!std::getline(in, line) || line != "C " + HashToHex(content_digest)) {
     return reject("checksum mismatch (torn or tampered file)");
+  }
+  // The file lists entries most recent first; restriction matching walks a
+  // test's registry from its back for the newest candidates.
+  for (auto& [test_id, keys] : trace_keys_by_test_) {
+    std::reverse(keys.begin(), keys.end());
   }
   EnforceLimits();
   return true;

@@ -46,6 +46,14 @@
 // have produced. Mispredictions (the pre-run promise was broken) are counted
 // and fall back to real execution — never trusted.
 //
+// What an entry holds follows the recording contract (test_execution.h): a
+// heterogeneous run keeps its verdict, failure text, trial flag and
+// counters, plus its observed trace as one joined string when it recorded
+// one (only with a read surface installed, so a cache filled with the
+// equivalence layer off holds, and a file written from it carries, no trace
+// alias for any heterogeneous run). The empty-plan pre-run keeps its whole
+// session: re-dispatched units and warm starts generate instances from it.
+//
 // Serving from cache never changes campaign results: the stored TestResult is
 // exactly what a real run would return. Stage counters (executed_runs and
 // friends) are incremented by the call sites *before* RunUnitTest, so Table-5
@@ -105,24 +113,36 @@ namespace zebra {
 
 class ReadSurface;
 
-// The equivalence-layer context for one lookup/insert: the unit's pre-run
+// One run's cache context: what its lookup derives, kept for its insert so
+// the run hashes its plan text, canonical fingerprint and predicted trace
+// once each. A query belongs to one (test, plan) pair.
+//
+// `surface` and `plan` switch the equivalence layer on: the unit's pre-run
 // ReadSurface and the plan being run (neither owned; `plan` is dereferenced
 // only during Lookup, so the caller may move the plan away afterwards).
 // RunCache derives the canonical fingerprint and predicted trace lazily —
 // only once the exact keys have missed, so exact hits pay nothing for the
-// layer — and caches them here so the matching Insert can validate the
+// layer — and keeps them here so the matching Insert can validate the
 // pre-run promise without recomputing. An empty canonical fingerprint is
 // meaningful (the plan collapsed to the homogeneous baseline).
-struct EquivQuery {
+struct RunQuery {
   const ReadSurface* surface = nullptr;
   const TestPlan* plan = nullptr;
 
-  // Filled by RunCache::Lookup on the first exact miss.
+  // Filled by every Lookup: the digest of test_id + '\x1f' + plan_text that
+  // the exact and wildcard keys extend.
+  bool keyed = false;
+  Digest128 prefix;
+
+  // Filled by RunCache::Lookup on the first exact miss, with the key digest
+  // of each derived string.
   bool computed = false;
   std::string canonical_fingerprint;
+  Digest128 canonical_key;
   bool plan_canonicalized = false;  // canonical form differs from the plan's own
   bool has_trace = false;
   std::string predicted_trace;
+  Digest128 trace_key;  // valid when has_trace
 };
 
 class RunCache {
@@ -168,19 +188,20 @@ class RunCache {
 
   // Returns the cached result for the triple, or nullptr. A trial-wildcard
   // entry (stored by a trial-insensitive execution) matches any trial; when
-  // `equiv` carries a surface and plan, the canonical-fingerprint and
+  // `query` carries a surface and plan, the canonical-fingerprint and
   // predicted-trace keys are consulted next — each serve gated on trace
   // validation — and finally this test's stored traces are scanned for one
   // the plan provably reproduces (restriction matching). Counts a hit, an
-  // equiv hit, or a miss. Single-threaded callers only (see file comment).
+  // equiv hit, or a miss, and fills `query` (when given) for the Insert.
+  // Single-threaded callers only (see file comment).
   const TestResult* Lookup(const std::string& test_id, const std::string& plan_text,
-                           uint64_t trial, EquivQuery* equiv = nullptr);
+                           uint64_t trial, RunQuery* query = nullptr);
 
   // Copy-out variant, safe under concurrent mutation: the result is copied
   // into `out` from a payload this call shares ownership of, so no pointer
   // into the LRU escapes. Returns true on a hit.
   bool Lookup(const std::string& test_id, const std::string& plan_text,
-              uint64_t trial, EquivQuery* equiv, TestResult* out);
+              uint64_t trial, RunQuery* query, TestResult* out);
 
   // Shared-ownership variant, safe under concurrent mutation *without* the
   // deep copy: the returned pointer shares ownership of the immutable cache
@@ -189,26 +210,26 @@ class RunCache {
   std::shared_ptr<const TestResult> LookupShared(const std::string& test_id,
                                                  const std::string& plan_text,
                                                  uint64_t trial,
-                                                 EquivQuery* equiv = nullptr);
+                                                 RunQuery* query = nullptr);
 
-  // Stores the result of a real execution. `trial_insensitive` executions are
-  // stored under the wildcard key as well, so every future trial hits, and
-  // additionally under their observed trace. When `equiv` carries the
-  // predictions the preceding Lookup derived and the prediction held, the
-  // result is also indexed by the canonical fingerprint; a broken prediction
-  // counts a misprediction and skips the canonical index. The shared-pointer
-  // overload stores the caller's result without copying it (every key alias
-  // shares one payload); the by-value overload is a convenience that wraps
-  // its argument.
+  // Stores the result of a real execution with its joined observed trace
+  // (empty when the run recorded none), which the entry takes over.
+  // `trial_insensitive` executions are stored under the wildcard key as
+  // well, so every future trial hits, and additionally under their observed
+  // trace. When `query` carries the predictions the preceding Lookup derived
+  // and the prediction held, the result is also indexed by the canonical
+  // fingerprint; a broken prediction counts a misprediction and skips the
+  // canonical index. Key digests the Lookup left in `query` are reused, not
+  // derived again. The shared-pointer overload stores the caller's result
+  // without copying it (every key alias shares one payload); the by-value
+  // overload is a convenience that wraps its argument.
   void Insert(const std::string& test_id, const std::string& plan_text,
               uint64_t trial, bool trial_insensitive,
               std::shared_ptr<const TestResult> result,
-              const EquivQuery* equiv = nullptr,
-              const std::string* observed_trace = nullptr);
+              const RunQuery* query = nullptr, std::string observed_trace = {});
   void Insert(const std::string& test_id, const std::string& plan_text,
               uint64_t trial, bool trial_insensitive, const TestResult& result,
-              const EquivQuery* equiv = nullptr,
-              const std::string* observed_trace = nullptr);
+              const RunQuery* query = nullptr, std::string observed_trace = {});
 
   // Test-only: inserts `result` under a forced 128-bit key with the given
   // legacy string, bypassing key derivation. Returns false when the insert
@@ -240,19 +261,23 @@ class RunCache {
   }
 
   // Persistence, for warm-starting repeated campaign invocations. The file
-  // round-trips every entry (including the full SessionReport — warm-started
-  // pre-runs feed test generation) in recency order under its legacy string
-  // key, and ends with a whole-file checksum line so a torn write (crash
-  // mid-save, disk full) cannot masquerade as a valid cache. Load replaces
-  // the current contents and re-derives each 128-bit key twice — from the
-  // whole string and from its parsed components (the hot path's derivation) —
-  // rejecting the file if they ever disagree: the gate that proves hashed
-  // and legacy lookups stay interchangeable. Stats are not persisted. Both
-  // return false on I/O or parse failure; a failed load leaves the cache
-  // empty — never half-loaded, never throwing — logs a warning, and
-  // increments Stats::load_failures (except for a missing file, which is the
-  // normal cold-start case). A warm start is an optimization, so corruption
-  // degrades to a cold start, not a crash.
+  // round-trips every entry (its SessionReport as stored: whole for a
+  // pre-run, whose warm start feeds test generation, counters and flags for
+  // a heterogeneous run) in recency order under its legacy string key, and
+  // ends with a whole-file checksum line so a torn write (crash mid-save,
+  // disk full) cannot masquerade as a valid cache. Load replaces the current
+  // contents and re-derives each 128-bit key twice — from the whole string
+  // and from its parsed components (the hot path's derivation) — rejecting
+  // the file if they ever disagree: the gate that proves hashed and legacy
+  // lookups stay interchangeable. A record under a wildcard, canonical or
+  // trace key loads trial-insensitive (Insert writes those keys only for
+  // such runs), so a warm start asks the cache no more than a cold campaign
+  // does; an exact-key record loads trial-sensitive. Stats are not
+  // persisted. Both return false on I/O or parse failure; a failed load
+  // leaves the cache empty — never half-loaded, never throwing — logs a
+  // warning, and increments Stats::load_failures (except for a missing
+  // file, which is the normal cold-start case). A warm start is an
+  // optimization, so corruption degrades to a cold start, not a crash.
   bool SaveToFile(const std::string& path) const;
   bool LoadFromFile(const std::string& path);
 
@@ -290,7 +315,7 @@ class RunCache {
   // across worker threads, and matching outside the lock, safe.
   struct Entry {
     std::shared_ptr<const TestResult> result;
-    std::string observed_trace;  // empty when recorded without a surface
+    std::string observed_trace;  // empty when the run recorded no trace
     // The key-independent part of every alias's byte estimate, computed once
     // per entry before it is published.
     int64_t payload_bytes = 0;
@@ -335,7 +360,7 @@ class RunCache {
   // hit, an equiv hit, or a miss.
   std::shared_ptr<const Entry> LookupEntry(const std::string& test_id,
                                            const std::string& plan_text,
-                                           uint64_t trial, EquivQuery* equiv);
+                                           uint64_t trial, RunQuery* query);
 
   // --- Callers hold mutex_ -------------------------------------------------
 

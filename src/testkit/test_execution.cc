@@ -81,51 +81,57 @@ std::shared_ptr<const TestResult> RunUnitTestShared(const UnitTestDef& test,
   // Memoization: identical (test, plan, trial) triples are reproducible by
   // construction, so a cached result is exactly what a fresh execution would
   // return. Cache hits record no duration — nothing actually ran. With a
-  // pre-run ReadSurface installed, the lookup extends to observationally
-  // equivalent plans (see run_cache.h for the validation contract).
+  // pre-run ReadSurface installed, the lookup of a heterogeneous plan
+  // extends to observationally equivalent plans (see run_cache.h for the
+  // validation contract). The empty plan stays on its exact keys, which
+  // only whole-session entries hold.
   RunCache* cache = GlobalRunCache();
-  EquivQuery equiv;
-  EquivQuery* equiv_query = nullptr;
+  RunQuery query;
   if (cache != nullptr) {
     if (const ReadSurface* surface = GlobalReadSurface();
-        surface != nullptr && surface->usable()) {
-      equiv.surface = surface;
-      equiv.plan = &plan;
-      equiv_query = &equiv;
+        surface != nullptr && surface->usable() && !plan.empty()) {
+      query.surface = surface;
+      query.plan = &plan;
     }
     // Shared lookup: the payload's ownership is shared out under the cache
     // lock, so the result stays valid past any other worker's insert without
     // a deep copy.
     if (std::shared_ptr<const TestResult> cached =
-            cache->LookupShared(test.id, plan.Fingerprint(), trial,
-                                equiv_query)) {
+            cache->LookupShared(test.id, plan.Fingerprint(), trial, &query)) {
       return cached;
     }
   }
 
   // Record the session only where it is read: the empty-plan pre-run feeds
-  // test generation and the read surface, and the cache keeps the whole
-  // result, serves it to any later caller and indexes it by observed trace.
-  // Every other run is judged on passed/failure alone.
+  // test generation and the read surface; a heterogeneous run's trace is
+  // read only by equivalence lookups, which need a surface. Every other run
+  // is judged on passed/failure alone.
+  SessionRecording recording = SessionRecording::kVerdictOnly;
+  if (plan.empty()) {
+    recording = SessionRecording::kFull;
+  } else if (query.surface != nullptr) {
+    recording = SessionRecording::kTraceOnly;
+  }
   auto result = std::make_shared<TestResult>();
-  Execute(test, plan, trial,
-          cache != nullptr || plan.empty() ? SessionRecording::kFull
-                                           : SessionRecording::kVerdictOnly,
-          result.get());
+  Execute(test, plan, trial, recording, result.get());
   if (cache != nullptr) {
-    const std::string observed_trace = ObservedTraceText(result->report);
+    std::string observed_trace = ObservedTraceText(result->report);
+    if (!plan.empty()) {
+      // Compact entry: the joined text is the trace the cache keeps.
+      result->report.trace_elements.clear();
+    }
     // The cache shares this exact payload across its key aliases — the
-    // insert allocates no TestResult copy.
+    // insert allocates no TestResult copy — and takes the joined trace over.
     cache->Insert(test.id, plan.Fingerprint(), trial,
                   /*trial_insensitive=*/!result->trial_sensitive, result,
-                  equiv_query, &observed_trace);
+                  &query, std::move(observed_trace));
   }
   return result;
 }
 
 TestResult RunUnitTest(const UnitTestDef& test, const TestPlan& plan, uint64_t trial) {
-  if (GlobalRunCache() != nullptr) {
-    return *RunUnitTestShared(test, plan, trial);  // cache-bound: recorded
+  if (plan.empty() && GlobalRunCache() != nullptr) {
+    return *RunUnitTestShared(test, plan, trial);  // the pre-run, kept whole
   }
   TestResult result;
   Execute(test, plan, trial, SessionRecording::kFull, &result);

@@ -22,8 +22,10 @@ struct TestResult {
   // Whether the run consulted its trial (TestContext::TrialSensitive). When
   // false, every trial of the same (test, plan) has this outcome, so callers
   // may answer later trials from it instead of executing them (TestRunner
-  // does, as does the run cache's trial-wildcard key). True for a result no
-  // execution produced in this process, such as one loaded from a cache file.
+  // does, as does the run cache's trial-wildcard key). True by default, so a
+  // result no execution produced in this process is not reused across trials
+  // unless its origin proves it may be: a cache file's record under a
+  // wildcard, canonical or trace key loads false (see RunCache::LoadFromFile).
   bool trial_sensitive = true;
   std::string failure;    // first failure message (empty when passed)
   SessionReport report;   // what ConfAgent observed (see the entry points)
@@ -35,6 +37,9 @@ struct TestResult {
 // are serialized). The plan is borrowed for the duration of the call and not
 // mutated. Always records: `report` carries the full read map and trace, so
 // callers that inspect what a run read (pre-runs, dependency mining) use this.
+// Under a run cache the empty plan goes through RunUnitTestShared, whose
+// entries for it keep the whole session; any other plan executes and records
+// here without consulting the cache, whose entries for it keep less.
 TestResult RunUnitTest(const UnitTestDef& test, const TestPlan& plan, uint64_t trial);
 
 // Allocation-lean variant: a run-cache hit returns the cached payload by
@@ -47,11 +52,19 @@ TestResult RunUnitTest(const UnitTestDef& test, const TestPlan& plan, uint64_t t
 // failing one-instance run as its first heterogeneous trial, so such repeats
 // neither execute nor consult the cache.
 //
-// Records only when a reader needs it: for the empty plan (the pre-run
-// TestGenerator and the read surface consume) and when a run cache is
-// installed (the cache keeps the whole result, serves it to any caller and
-// indexes it by observed trace). Any other run is verdict-only: its
-// `report.reads`, `uncertain_params` and `trace_elements` are empty.
+// Records only what a reader needs (conf_agent.h, "Recording"):
+//   * the empty plan records everything: it is the pre-run TestGenerator and
+//     the read surface consume, and under a cache its entry keeps the whole
+//     session for re-dispatched units and warm starts;
+//   * a heterogeneous run with a cache and a usable ReadSurface installed
+//     records its trace only, which the cache joins into the observed-trace
+//     key it indexes and validates the run by;
+//   * every other run, cached runs with no surface included (no lookup can
+//     match their trace), keeps just its verdict.
+// A heterogeneous result therefore never carries `report.reads`,
+// `uncertain_params` or `trace_elements`: the cache keeps a trace-only run's
+// trace as the joined text alone, and the returned payload is the entry's.
+// Counters and flags are kept in every mode.
 std::shared_ptr<const TestResult> RunUnitTestShared(const UnitTestDef& test,
                                                     const TestPlan& plan,
                                                     uint64_t trial);

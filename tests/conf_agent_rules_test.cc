@@ -10,6 +10,7 @@
 
 #include "src/common/error.h"
 #include "src/conf/configuration.h"
+#include "src/conf/plan_equiv.h"
 #include "src/runtime/node_init.h"
 
 namespace zebra {
@@ -208,6 +209,46 @@ TEST(ConfAgentRulesTest, ReadsRecordedPerEntity) {
   EXPECT_TRUE(report.ParamsReadBy(kClientEntity).count("client.param") > 0);
   EXPECT_TRUE(report.ParamsReadBy("Server").count("server.param") > 0);
   EXPECT_FALSE(report.ParamsReadBy("Server").count("client.param") > 0);
+}
+
+// The recording modes (conf_agent.h, "Recording") observe a session alike
+// and differ only in the strings they keep: a trace-only session records
+// exactly a full session's trace elements, presence checks and uncertain
+// reads included, and none of its read map; a verdict-only one records no
+// strings. Counters match in every mode.
+TEST(ConfAgentRulesTest, RecordingModesKeepOnlyTheirStrings) {
+  TestPlan plan = PlanFor("server.param",
+                          ValueAssigner::UniformGroup("Server", "planned", "other"));
+  auto observe = [&plan](SessionRecording recording) {
+    ConfAgentSession session(&plan, recording);
+    Configuration conf;
+    conf.Get("client.param", "x");
+    conf.Has("client.flag");
+    Server server(conf);
+    server.FunA("server.param");
+    Configuration orphan;  // blank, after a node, outside any init: uncertain
+    orphan.Get("stray.param", "y");
+    return session.End();
+  };
+  const SessionReport full = observe(SessionRecording::kFull);
+  const SessionReport trace = observe(SessionRecording::kTraceOnly);
+  const SessionReport verdict = observe(SessionRecording::kVerdictOnly);
+  ASSERT_FALSE(full.reads.empty());
+  ASSERT_EQ(full.uncertain_params.count("stray.param"), 1u);
+  ASSERT_EQ(full.trace_elements.count(
+                TraceHasElement(kClientEntity, 0, "client.flag", nullptr)),
+            1u);
+  EXPECT_EQ(trace.trace_elements, full.trace_elements);
+  EXPECT_TRUE(trace.reads.empty());
+  EXPECT_TRUE(trace.uncertain_params.empty());
+  EXPECT_TRUE(verdict.trace_elements.empty());
+  EXPECT_TRUE(verdict.reads.empty());
+  EXPECT_TRUE(verdict.uncertain_params.empty());
+  for (const SessionReport* report : {&trace, &verdict}) {
+    EXPECT_EQ(report->override_hits, full.override_hits);
+    EXPECT_EQ(report->node_counts, full.node_counts);
+    EXPECT_EQ(report->uncertain_conf_count, full.uncertain_conf_count);
+  }
 }
 
 TEST(ConfAgentRulesTest, HooksAreNoOpsOutsideSessions) {

@@ -5,9 +5,12 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
+#include "src/conf/plan_equiv.h"
 #include "src/core/test_generator.h"
 #include "src/testkit/full_schema.h"
 #include "src/testkit/ground_truth.h"
@@ -100,36 +103,41 @@ TEST(CorpusTest, SameTrialIsDeterministic) {
   }
 }
 
+// The empty plan, then one heterogeneous plan for `test` when it has any:
+// its first generated instance that fails, else its first instance.
+std::vector<TestPlan> EmptyAndOneHeterogeneousPlan(const TestGenerator& generator,
+                                                   const UnitTestDef& test) {
+  std::vector<TestPlan> plans(1);  // the empty plan
+  int64_t prerun_executions = 0;
+  int64_t before_uncertainty = 0;
+  const std::vector<GeneratedInstance> instances = generator.Generate(
+      generator.PreRunTest(test, &prerun_executions), &before_uncertainty);
+  for (const GeneratedInstance& instance : instances) {
+    TestPlan plan;
+    plan.Add(instance.plan);
+    const bool fails = !RunUnitTestShared(test, plan, /*trial=*/0)->passed;
+    if (fails || plans.size() == 1) {
+      plans.resize(1);
+      plans.push_back(std::move(plan));
+    }
+    if (fails) {
+      break;
+    }
+  }
+  return plans;
+}
+
 // The premise TestRunner and the run cache's trial-wildcard key rest on: all
 // nondeterminism flows through the per-trial RNG, so a run that reports
 // itself trial-insensitive has the same outcome at every trial. Checked for
-// every corpus test under the empty plan and under one heterogeneous plan
-// (the first generated instance that fails, else the first instance). The
-// seeded-flaky tests always draw under the empty plan; a heterogeneous plan
-// may fail them before the draw, which makes that run trial-insensitive.
+// every corpus test under the empty plan and under one heterogeneous plan.
+// The seeded-flaky tests always draw under the empty plan; a heterogeneous
+// plan may fail them before the draw, which makes that run trial-insensitive.
 TEST(CorpusTest, TrialInsensitiveRunsHaveOneOutcomeAtEveryTrial) {
   TestGenerator generator(FullSchema(), FullCorpus());
   int insensitive_runs = 0;
   for (const UnitTestDef& test : FullCorpus().tests()) {
-    std::vector<TestPlan> plans(1);  // the empty plan
-    int64_t prerun_executions = 0;
-    int64_t before_uncertainty = 0;
-    const std::vector<GeneratedInstance> instances = generator.Generate(
-        generator.PreRunTest(test, &prerun_executions), &before_uncertainty);
-    for (const GeneratedInstance& instance : instances) {
-      TestPlan plan;
-      plan.Add(instance.plan);
-      const bool fails = !RunUnitTestShared(test, plan, /*trial=*/0)->passed;
-      if (fails || plans.size() == 1) {
-        plans.resize(1);
-        plans.push_back(std::move(plan));
-      }
-      if (fails) {
-        break;
-      }
-    }
-
-    for (const TestPlan& plan : plans) {
+    for (const TestPlan& plan : EmptyAndOneHeterogeneousPlan(generator, test)) {
       std::shared_ptr<const TestResult> first = RunUnitTestShared(test, plan, 0);
       if (IsFlakyTest(test.id) && plan.empty()) {
         EXPECT_TRUE(first->trial_sensitive)
@@ -221,8 +229,8 @@ TEST(CorpusTest, GroundTruthParamsAreReadSomewhere) {
 }
 
 // The recording contract (test_execution.h): RunUnitTest always records;
-// RunUnitTestShared records only the empty-plan pre-run and cache-bound runs,
-// and otherwise keeps just the verdict.
+// RunUnitTestShared records the empty-plan pre-run whole, only the trace of
+// a cached run a read surface can match, and otherwise just the verdict.
 bool Recorded(const TestResult& result) {
   return !result.report.reads.empty() && !result.report.trace_elements.empty();
 }
@@ -263,16 +271,91 @@ TEST(CorpusTest, SharedRunsRecordOnlyWhereRead) {
   EXPECT_EQ(shared_prerun->report.reads, prerun.report.reads);
   EXPECT_EQ(shared_prerun->report.trace_elements, prerun.report.trace_elements);
 
-  // Under a cache every run records, whichever entry point executes it.
+  // Under a cache a heterogeneous run records only what a lookup reads. With
+  // no read surface installed no lookup can match its trace, so it keeps
+  // just its verdict and the cache holds no trace alias for it.
+  {
+    RunCache cache;
+    ScopedRunCache scoped(&cache);
+    std::shared_ptr<const TestResult> cached =
+        RunUnitTestShared(*test, hetero, /*trial=*/0);
+    ASSERT_FALSE(cached->trial_sensitive);
+    EXPECT_EQ(cached->passed, recorded.passed);
+    EXPECT_EQ(cached->failure, recorded.failure);
+    EXPECT_TRUE(cached->report.reads.empty());
+    EXPECT_TRUE(cached->report.trace_elements.empty());
+    EXPECT_EQ(cached->report.override_hits, recorded.report.override_hits);
+    EXPECT_EQ(cache.stats().entries, 2) << "exact and wildcard keys only";
+
+    // RunUnitTest still returns the full read map: it executes and records
+    // a non-empty plan itself instead of asking the cache.
+    std::vector<double> executions;
+    SetRunDurationCollector(&executions);
+    const TestResult full = RunUnitTest(*test, hetero, /*trial=*/0);
+    SetRunDurationCollector(nullptr);
+    EXPECT_EQ(executions.size(), 1u);
+    EXPECT_EQ(cache.stats().hits + cache.stats().misses, 1);
+    EXPECT_EQ(full.report.reads, recorded.report.reads);
+    EXPECT_EQ(full.report.uncertain_params, recorded.report.uncertain_params);
+    EXPECT_EQ(full.report.trace_elements, recorded.report.trace_elements);
+  }
+
+  // With the pre-run's usable read surface installed the run records its
+  // trace alone, which the cache keeps only as the joined text it indexes
+  // (TraceOnlySessionsRecordExactlyTheFullTrace): the served payload carries
+  // no read map and no trace set.
+  const ReadSurface surface(prerun.report);
+  ASSERT_TRUE(surface.usable());
+  ScopedReadSurface scoped_surface(&surface);
   RunCache cache;
   ScopedRunCache scoped(&cache);
-  std::shared_ptr<const TestResult> cached =
+  std::shared_ptr<const TestResult> traced =
       RunUnitTestShared(*test, hetero, /*trial=*/0);
-  EXPECT_TRUE(Recorded(*cached));
-  EXPECT_EQ(cached->report.reads, recorded.report.reads);
-  EXPECT_EQ(cached->report.uncertain_params, recorded.report.uncertain_params);
-  EXPECT_EQ(cached->report.trace_elements, recorded.report.trace_elements);
-  EXPECT_TRUE(Recorded(RunUnitTest(*test, hetero, /*trial=*/1)));
+  EXPECT_EQ(traced->passed, recorded.passed);
+  EXPECT_EQ(traced->failure, recorded.failure);
+  EXPECT_TRUE(traced->report.reads.empty());
+  EXPECT_TRUE(traced->report.trace_elements.empty());
+}
+
+// One execution of `test` under `plan` in the given recording mode, outside
+// any cache (seeded as RunUnitTest seeds trial 0): what its session recorded.
+SessionReport RecordSession(const UnitTestDef& test, const TestPlan& plan,
+                            SessionRecording recording) {
+  ConfAgentSession session(&plan, recording);
+  TestContext context(test.id, HashCombine(0, plan.DescribeSeed()));
+  try {
+    test.body(context);
+  } catch (const std::exception&) {
+    // A failing run has recorded the observations it made before failing.
+  }
+  return session.End();
+}
+
+// The premise trace-only runs rest on: the run cache indexes and validates
+// a heterogeneous run by the trace it recorded, so a trace-only session must
+// record exactly the trace elements a full one records, and nothing of the
+// read map. Checked for every corpus test under the empty plan and one
+// heterogeneous plan.
+TEST(CorpusTest, TraceOnlySessionsRecordExactlyTheFullTrace) {
+  TestGenerator generator(FullSchema(), FullCorpus());
+  int traced_runs = 0;
+  for (const UnitTestDef& test : FullCorpus().tests()) {
+    for (const TestPlan& plan : EmptyAndOneHeterogeneousPlan(generator, test)) {
+      const SessionReport full = RecordSession(test, plan, SessionRecording::kFull);
+      const SessionReport trace =
+          RecordSession(test, plan, SessionRecording::kTraceOnly);
+      EXPECT_EQ(trace.trace_elements, full.trace_elements)
+          << test.id << " [" << plan.Describe() << "]";
+      EXPECT_TRUE(trace.reads.empty()) << test.id << " [" << plan.Describe() << "]";
+      EXPECT_TRUE(trace.uncertain_params.empty()) << test.id;
+      EXPECT_EQ(trace.override_hits, full.override_hits) << test.id;
+      EXPECT_EQ(trace.node_counts, full.node_counts) << test.id;
+      if (!full.trace_elements.empty()) {
+        ++traced_runs;
+      }
+    }
+  }
+  EXPECT_GT(traced_runs, 100) << "the sweep recorded real traces";
 }
 
 }  // namespace

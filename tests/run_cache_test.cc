@@ -205,6 +205,45 @@ TEST(RunCacheTest, CampaignResultsIdenticalWithCacheEnabled) {
   }
 }
 
+TEST(RunCacheTest, WarmStartAsksExactlyTheColdLookups) {
+  // Insert stores a run under its wildcard, canonical and trace keys only
+  // when the run never consulted its trial, so a result loaded from one of
+  // those records is trial-insensitive: the verifier answers the later
+  // trials of its plan itself, as it does in the cold campaign, instead of
+  // asking the cache for each.
+  for (bool equiv : {false, true}) {
+    SCOPED_TRACE(equiv ? "cache + equiv" : "cache");
+    CampaignOptions options;
+    options.apps = {"minikv", "apptools"};
+    options.enable_run_cache = true;
+    options.enable_equiv_cache = equiv;
+    Campaign cold(FullSchema(), FullCorpus(), options);
+    const CampaignReport expected = cold.Run();
+    const int64_t lookups =
+        expected.cache_hits + expected.equiv_hits + expected.cache_misses;
+    ASSERT_GT(expected.cache_misses, 0);
+    const std::string path = ::testing::TempDir() + "/run_cache_warm_start.zc";
+    ASSERT_TRUE(cold.run_cache()->SaveToFile(path));
+
+    Campaign warm(FullSchema(), FullCorpus(), options);
+    ASSERT_TRUE(warm.run_cache()->LoadFromFile(path));
+    std::remove(path.c_str());
+    const CampaignReport report = warm.Run();
+    EXPECT_EQ(report.cache_hits + report.equiv_hits, lookups);
+    EXPECT_EQ(report.cache_misses, 0);
+    EXPECT_EQ(report.equiv_hits, expected.equiv_hits);
+    EXPECT_TRUE(report.run_durations_seconds.empty()) << "nothing executes";
+    EXPECT_EQ(report.total_unit_test_runs, expected.total_unit_test_runs);
+    EXPECT_EQ(report.runs_to_first_detection, expected.runs_to_first_detection);
+    ASSERT_EQ(report.findings.size(), expected.findings.size());
+    for (const auto& [param, finding] : expected.findings) {
+      ASSERT_TRUE(report.findings.count(param) > 0) << param;
+      EXPECT_EQ(report.findings.at(param).witness_tests, finding.witness_tests);
+      EXPECT_EQ(report.findings.at(param).best_p_value, finding.best_p_value);
+    }
+  }
+}
+
 TEST(RunCacheTest, EquivLayerServesAcrossPlansAndSurvivesRoundTrip) {
   // Pre-run promise: Server#0 reads only a.read.
   SessionReport prerun;
@@ -218,17 +257,17 @@ TEST(RunCacheTest, EquivLayerServesAcrossPlansAndSurvivesRoundTrip) {
   const std::string observed = TraceReadElement("Server", 0, "a.read", nullptr);
 
   RunCache cache;
-  EquivQuery baseline_query;
+  RunQuery baseline_query;
   baseline_query.surface = &surface;
   baseline_query.plan = &baseline;
   EXPECT_EQ(cache.Lookup("t", baseline_fp, 0, &baseline_query), nullptr);
   cache.Insert("t", baseline_fp, 0, /*trial_insensitive=*/true,
-               MakeResult(true, ""), &baseline_query, &observed);
+               MakeResult(true, ""), &baseline_query, observed);
 
   // A plan flipping a parameter no conf reads is observationally the
   // baseline: same predicted trace, so the stored run serves it.
   const TestPlan unread = SingleParamPlan("b.unread", "42");
-  EquivQuery unread_query;
+  RunQuery unread_query;
   unread_query.surface = &surface;
   unread_query.plan = &unread;
   const TestResult* hit = cache.Lookup("t", unread.Fingerprint(), 5, &unread_query);
@@ -241,7 +280,7 @@ TEST(RunCacheTest, EquivLayerServesAcrossPlansAndSurvivesRoundTrip) {
   // ...while a plan that overrides the promised read is a different
   // execution and must miss.
   const TestPlan divergent = SingleParamPlan("a.read", "7");
-  EquivQuery divergent_query;
+  RunQuery divergent_query;
   divergent_query.surface = &surface;
   divergent_query.plan = &divergent;
   EXPECT_EQ(cache.Lookup("t", divergent.Fingerprint(), 0, &divergent_query), nullptr);
@@ -256,7 +295,7 @@ TEST(RunCacheTest, EquivLayerServesAcrossPlansAndSurvivesRoundTrip) {
   std::remove(path.c_str());
 
   ASSERT_NE(reloaded.Lookup("t", baseline_fp, 3, nullptr), nullptr);  // wildcard
-  EquivQuery reloaded_query;
+  RunQuery reloaded_query;
   reloaded_query.surface = &surface;
   reloaded_query.plan = &unread;
   ASSERT_NE(reloaded.Lookup("t", unread.Fingerprint(), 5, &reloaded_query), nullptr);
@@ -276,21 +315,21 @@ TEST(RunCacheTest, EquivLayerServesEarlyStoppedRestriction) {
   const TestPlan first = SingleParamPlan("a.read", assigned);
   const std::string truncated = TraceReadElement("Server", 0, "a.read", &assigned);
   RunCache cache;
-  EquivQuery first_query;
+  RunQuery first_query;
   first_query.surface = &surface;
   first_query.plan = &first;
   EXPECT_EQ(cache.Lookup("t", first.Fingerprint(), 0, &first_query), nullptr);
   // Observed != predicted (the run never reached b.read): counted as a
   // misprediction at insert, indexed by its truthful observed trace anyway.
   cache.Insert("t", first.Fingerprint(), 0, /*trial_insensitive=*/true,
-               MakeResult(false, "died at a.read"), &first_query, &truncated);
+               MakeResult(false, "died at a.read"), &first_query, truncated);
   EXPECT_EQ(cache.stats().mispredictions, 1);
 
   // Same a.read assignment pooled with an unread parameter: agrees on every
   // value the stored run actually observed.
   TestPlan pooled = SingleParamPlan("a.read", assigned);
   pooled.Add(SingleParamPlan("c.unread", "1").params()[0]);
-  EquivQuery pooled_query;
+  RunQuery pooled_query;
   pooled_query.surface = &surface;
   pooled_query.plan = &pooled;
   const TestResult* hit = cache.Lookup("t", pooled.Fingerprint(), 9, &pooled_query);
@@ -300,7 +339,7 @@ TEST(RunCacheTest, EquivLayerServesEarlyStoppedRestriction) {
 
   // A plan serving a different value at that read must not match.
   const TestPlan different = SingleParamPlan("a.read", "8");
-  EquivQuery different_query;
+  RunQuery different_query;
   different_query.surface = &surface;
   different_query.plan = &different;
   EXPECT_EQ(cache.Lookup("t", different.Fingerprint(), 0, &different_query), nullptr);
@@ -314,13 +353,50 @@ TEST(RunCacheTest, EquivLayerServesEarlyStoppedRestriction) {
   RunCache reloaded;
   ASSERT_TRUE(reloaded.LoadFromFile(path));
   std::remove(path.c_str());
-  EquivQuery reloaded_query;
+  RunQuery reloaded_query;
   reloaded_query.surface = &surface;
   reloaded_query.plan = &pooled;
   const TestResult* reloaded_hit =
       reloaded.Lookup("t", pooled.Fingerprint(), 9, &reloaded_query);
   ASSERT_NE(reloaded_hit, nullptr);
   EXPECT_EQ(reloaded_hit->failure, "died at a.read");
+}
+
+TEST(RunCacheTest, ReloadedRestrictionMatchingScansTheNewestCandidates) {
+  // Restriction matching scans at most 64 of a test's trace-indexed entries,
+  // newest first. A cache file lists entries most recent first, so a
+  // reloaded cache must register them in reverse to keep that order: here
+  // the one stored run the plan reproduces is the newest of 65.
+  SessionReport prerun;
+  prerun.trace_elements.insert(TraceReadElement("Server", 0, "a.read", nullptr));
+  prerun.trace_elements.insert(TraceReadElement("Server", 0, "b.read", nullptr));
+  ReadSurface surface(prerun);
+
+  RunCache cache;
+  for (int i = 0; i <= 64; ++i) {
+    std::string value = i < 64 ? std::to_string(i) : "match";
+    const TestPlan plan = SingleParamPlan("a.read", value);
+    cache.Insert("t", plan.Fingerprint(), 0, /*trial_insensitive=*/true,
+                 MakeResult(false, "died at a.read=" + value), nullptr,
+                 TraceReadElement("Server", 0, "a.read", &value));
+  }
+  TestPlan pooled = SingleParamPlan("a.read", "match");
+  pooled.Add(SingleParamPlan("c.unread", "1").params()[0]);
+
+  const std::string path = ::testing::TempDir() + "/run_cache_newest.zc";
+  ASSERT_TRUE(cache.SaveToFile(path));
+  RunCache reloaded;
+  ASSERT_TRUE(reloaded.LoadFromFile(path));
+  std::remove(path.c_str());
+  for (RunCache* serving : {&cache, &reloaded}) {
+    RunQuery query;
+    query.surface = &surface;
+    query.plan = &pooled;
+    const TestResult* hit = serving->Lookup("t", pooled.Fingerprint(), 0, &query);
+    ASSERT_NE(hit, nullptr) << (serving == &cache ? "live" : "reloaded");
+    EXPECT_EQ(hit->failure, "died at a.read=match");
+    EXPECT_EQ(serving->stats().equiv_hits, 1);
+  }
 }
 
 TEST(RunCacheTest, TrialSensitiveRunsAreNeverSharedAcrossPlans) {
@@ -333,15 +409,15 @@ TEST(RunCacheTest, TrialSensitiveRunsAreNeverSharedAcrossPlans) {
   const TestPlan baseline;
   const std::string observed = TraceReadElement("Server", 0, "a.read", nullptr);
   RunCache cache;
-  EquivQuery query;
+  RunQuery query;
   query.surface = &surface;
   query.plan = &baseline;
   EXPECT_EQ(cache.Lookup("t", baseline.Fingerprint(), 0, &query), nullptr);
   cache.Insert("t", baseline.Fingerprint(), 0, /*trial_insensitive=*/false,
-               MakeResult(true, ""), &query, &observed);
+               MakeResult(true, ""), &query, observed);
 
   const TestPlan unread = SingleParamPlan("b.unread", "42");
-  EquivQuery unread_query;
+  RunQuery unread_query;
   unread_query.surface = &surface;
   unread_query.plan = &unread;
   EXPECT_EQ(cache.Lookup("t", unread.Fingerprint(), 0, &unread_query), nullptr);

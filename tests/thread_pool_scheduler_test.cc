@@ -462,8 +462,8 @@ TestResult StressExecute(const TestPlan& plan) {
 }
 
 TEST(ConcurrentRunCacheTest, EquivLookupSharedUnderEvictionServesOnlyOwnResults) {
-  // The production path (RunUnitTestShared's LookupShared + Insert with an
-  // EquivQuery) from 4 threads over one ReadSurface: overlapping pooled
+  // The production path (RunUnitTestShared's LookupShared + Insert with a
+  // RunQuery) from 4 threads over one ReadSurface: overlapping pooled
   // plans, entry orders shuffled and an unread parameter mixed in so the
   // canonical, trace and restriction layers all serve, early-stopped runs so
   // restriction matching has prefixes to collapse, and a byte budget small
@@ -517,7 +517,7 @@ TEST(ConcurrentRunCacheTest, EquivLookupSharedUnderEvictionServesOnlyOwnResults)
       const std::string test_id = "stress.T" + std::to_string(next(2));
       const uint64_t trial = next(3);
 
-      EquivQuery equiv;
+      RunQuery equiv;
       equiv.surface = &surface;
       equiv.plan = &plan;
       ++lookups;
@@ -532,7 +532,7 @@ TEST(ConcurrentRunCacheTest, EquivLookupSharedUnderEvictionServesOnlyOwnResults)
       }
       const std::string observed = ObservedTraceText(expected.report);
       cache.Insert(test_id, plan.Fingerprint(), trial, /*trial_insensitive=*/true,
-                   expected, &equiv, &observed);
+                   expected, &equiv, observed);
     }
   };
 
