@@ -57,7 +57,6 @@ struct Arm {
   int64_t executed = 0;     // real executions = total runs - all cache serves
   int64_t cache_hits = 0;
   int64_t equiv_hits = 0;
-  int64_t canonicalized = 0;
   int64_t mispredictions = 0;
   size_t findings = 0;
 };
@@ -122,7 +121,6 @@ void RunComparison() {
           report.total_unit_test_runs - report.cache_hits - report.equiv_hits;
       arm.cache_hits = report.cache_hits;
       arm.equiv_hits = report.equiv_hits;
-      arm.canonicalized = report.canonicalized_plans;
       arm.mispredictions = report.mispredictions;
       arm.findings = report.findings.size();
       reports[equiv ? 1 : 0] = std::move(report);
@@ -183,7 +181,6 @@ void RunComparison() {
       json.Field("executed_runs", arm.executed);
       json.Field("cache_hits", arm.cache_hits);
       json.Field("equiv_hits", arm.equiv_hits);
-      json.Field("canonicalized_plans", arm.canonicalized);
       json.Field("mispredictions", arm.mispredictions);
       json.Field("findings", static_cast<uint64_t>(arm.findings));
       json.Field("seconds", arm.seconds, 6);

@@ -509,7 +509,6 @@ int RunCiGate() {
     report.cache_hits = sequential.cache_hits;
     report.cache_misses = sequential.cache_misses;
     report.equiv_hits = sequential.equiv_hits;
-    report.canonicalized_plans = sequential.canonicalized_plans;
     report.mispredictions = sequential.mispredictions;
     report.cache_evictions = sequential.cache_evictions;
     report.run_durations_seconds = sequential.run_durations_seconds;

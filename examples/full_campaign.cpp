@@ -417,11 +417,10 @@ int main(int argc, char** argv) {
               report.wall_seconds);
   if (report.cache_hits > 0 || report.equiv_hits > 0) {
     std::printf(
-        "run cache: %lld exact hits, %lld equivalence hits, %lld plans "
-        "canonicalized, %lld mispredictions, %lld evictions\n",
+        "run cache: %lld exact hits, %lld equivalence hits, "
+        "%lld mispredictions, %lld evictions\n",
         static_cast<long long>(report.cache_hits),
         static_cast<long long>(report.equiv_hits),
-        static_cast<long long>(report.canonicalized_plans),
         static_cast<long long>(report.mispredictions),
         static_cast<long long>(report.cache_evictions));
   }

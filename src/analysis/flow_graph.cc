@@ -204,7 +204,7 @@ StmtFacts AnalyzeStatement(const ProgramModel& program,
       }
     }
   }
-  // Canonicalize the collections: sorted + deduplicated, the order every
+  // Normalize the collections: sorted + deduplicated, the order every
   // consumer observes (and the summary cache persists).
   auto canon = [](std::vector<std::string>* v) {
     std::sort(v->begin(), v->end());
@@ -755,7 +755,7 @@ FlowGraph BuildFlowGraph(const ProgramFacts& facts) {
     }
   }
 
-  // Canonicalize coupling sets: sorted members, deduplicated, size-capped,
+  // Normalize coupling sets: sorted members, deduplicated, size-capped,
   // the final list sorted — byte-stable across runs.
   std::set<std::vector<std::string>> canonical;
   for (const auto& [key, members] : sink_groups) {

@@ -14,8 +14,40 @@
 //      fact recomputation entirely (see summary_cache.h).
 //   2. BuildFlowGraph — the program-wide fixpoint over those facts: function
 //      sink summaries, protocol-surface closure, taint propagation through
-//      locals and helpers. Wire-taint verdicts are exactly the R1a–R1e / R2 /
-//      R3 rules documented in taint_pass.h; the graph *refines* them with
+//      locals and helpers. It classifies every parameter with at least one
+//      read site as WIRE-TAINTED (its value can influence bytes, tokens,
+//      timing, or errors observed by another node) or NODE-LOCAL (it only
+//      shapes state private to the reading node) — the static realization
+//      of ZebraConf's core observation that a heterogeneous-unsafe parameter
+//      must have a read site whose value escapes the node through a protocol
+//      surface. A parameter is wire-tainted when one of these rules fires:
+//
+//        R1 (statement co-occurrence) — a statement that reads a parameter
+//           (or uses a local previously assigned from one) and also
+//             a. calls a wire primitive (EncodeFrame, WireToken, RpcGate, ...),
+//             b. calls a method on a node-class-typed receiver (a cross-node
+//                call in the simulator's object model),
+//             c. calls a function whose own body reaches a wire sink
+//                (summary-propagated),
+//             d. calls a function whose name matches a protocol pattern
+//                (heartbeat/handshake/liveness/stale/token/wire), or
+//             e. throws a protocol-visible error (RpcError, HandshakeError, ...)
+//           taints that parameter. Because statements are split on ';' at
+//           paren depth 0, an `if (x > limit) { throw LimitError(...); }`
+//           keeps the guard and the throw together — a cheap
+//           control-dependence edge.
+//        R2 (protocol surface) — every parameter read inside a function that
+//           is itself a protocol surface (called cross-node, or
+//           name-matching, or transitively invoked from one) is tainted: its
+//           value shapes the behavior a *remote* caller observes.
+//        R3 (helper propagation) — when a sink statement calls a locally
+//           defined helper, the parameters that helper reads directly are
+//           tainted (the DfsDataWireConfig pattern: a struct-builder whose
+//           fields feed the wire).
+//
+//      Everything else stays node-local. Each verdict carries human-readable
+//      reasons with file:line so `zebralint` reports are auditable. The
+//      graph *refines* the binary verdict with
 //
 //        * sink typing  — every sink a parameter reaches is classified
 //          (wire-encode, cross-node call, protocol error, comparison guard,

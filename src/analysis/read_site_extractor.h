@@ -49,7 +49,7 @@ struct ReadSite {
 };
 
 // A function (or constructor) definition with its body tokens retained for
-// the statement-level taint pass.
+// the flow graph's per-statement facts (flow_graph.h).
 struct FunctionModel {
   std::string cls;        // "" for free functions
   std::string name;       // unqualified

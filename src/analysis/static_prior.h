@@ -32,11 +32,11 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/flow_graph.h"
 #include "src/analysis/summary_cache.h"
-#include "src/analysis/taint_pass.h"
 #include "src/conf/conf_schema.h"
 
 namespace zebra {

@@ -261,7 +261,6 @@ ReadSurface::ReadSurface(const SessionReport& prerun) {
         obs.kind = Observation::Kind::kHas;
         AppendObservationHead(&obs.head, kHasPrefix, obs.entity, obs.node_index,
                               obs.param);
-        presence_params_.insert(obs.param);
         break;
       case ParsedElement::Kind::kRead:
         obs.kind = Observation::Kind::kRead;
@@ -269,69 +268,13 @@ ReadSurface::ReadSurface(const SessionReport& prerun) {
                               obs.param);
         break;
     }
-    observed_params_.insert(obs.param);
     head_bytes_ += obs.head.size();
     observations_.push_back(std::move(obs));
   }
   usable_ = !observations_.empty();
 }
 
-CanonicalPlan ReadSurface::Canonicalize(const TestPlan& plan) const {
-  CanonicalPlan canonical;
-  // Each surviving entry's fingerprint, minus the overrides no targeted conf
-  // reads, is rendered once into one buffer; the canonical fingerprint is
-  // those renderings sorted and joined exactly as TestPlan::Fingerprint()
-  // joins a plan's entries.
-  struct Kept {
-    const std::string* param;
-    size_t begin;
-    size_t size;
-  };
-  std::string rendered;
-  std::vector<Kept> kept;
-  kept.reserve(plan.params().size());
-  auto observed = [this](const std::string& param) { return ParamObserved(param); };
-  for (const ParamPlan& entry : plan.params()) {
-    bool keeps_override = false;
-    for (const auto& override_pair : entry.extra_overrides) {
-      if (ParamObserved(override_pair.first)) {
-        keeps_override = true;
-      } else {
-        ++canonical.dropped_overrides;
-      }
-    }
-    // An entry survives if any targeted conf observes its parameter — or any
-    // surviving dependency override still needs a carrier.
-    if (!ParamObserved(entry.param) && !keeps_override) {
-      ++canonical.dropped_entries;
-      continue;
-    }
-    size_t begin = rendered.size();
-    entry.AppendFingerprint(&rendered, observed);
-    kept.push_back(Kept{&entry.param, begin, rendered.size() - begin});
-  }
-  auto view = [&rendered](const Kept& entry) {
-    return std::string_view(rendered).substr(entry.begin, entry.size);
-  };
-  // Canonical order: plans differing only in entry order collapse.
-  std::sort(kept.begin(), kept.end(), [&](const Kept& a, const Kept& b) {
-    if (*a.param != *b.param) {
-      return *a.param < *b.param;
-    }
-    return view(a) < view(b);
-  });
-  canonical.fingerprint.reserve(rendered.size() + 2 * kept.size());
-  for (size_t i = 0; i < kept.size(); ++i) {
-    if (i > 0) {
-      canonical.fingerprint += ", ";
-    }
-    canonical.fingerprint += view(kept[i]);
-  }
-  canonical.changed = canonical.fingerprint != plan.Fingerprint();
-  return canonical;
-}
-
-bool ReadSurface::PredictTrace(const TestPlan& plan, std::string* trace) const {
+void ReadSurface::PredictTrace(const TestPlan& plan, std::string* trace) const {
   // Every element is rendered into one buffer — the observation's
   // precomputed head plus this plan's tail — and sorted and deduplicated as
   // spans, reproducing exactly the order and dedup the recorder's
@@ -382,7 +325,6 @@ bool ReadSurface::PredictTrace(const TestPlan& plan, std::string* trace) const {
     }
     *trace += view(span);
   }
-  return true;
 }
 
 // ---------------------------------------------------------------------------

@@ -19,12 +19,12 @@
 //    for a read through an unmappable conf). ConfAgent records them into
 //    SessionReport::trace_elements; the formatting helpers live here so the
 //    recorder and the predictor cannot drift.
-//  * ReadSurface: built from the pre-run's trace elements. Canonicalize()
-//    rewrites a plan to its canonical fingerprint (sorted entries, override
-//    entries no targeted conf ever reads dropped — a plan whose flipped
-//    parameter is never read collapses to the homogeneous baseline).
-//    PredictTrace() computes the exact trace a plan would produce *if* the
-//    test reads what the pre-run promised.
+//  * ReadSurface: built from the pre-run's trace elements. PredictTrace()
+//    computes the exact trace a plan would produce *if* the test reads what
+//    the pre-run promised. Override entries no targeted conf ever reads
+//    leave no element, so a plan whose flipped parameter is never read
+//    predicts the homogeneous baseline's trace, and entry order never
+//    matters.
 //  * Validation contract (enforced by RunCache callers): a predicted trace is
 //    never trusted on its own. A cached result is served only when its
 //    *actually observed* trace is byte-identical to the prediction — which
@@ -38,15 +38,15 @@
 //    trial()) are never collapsed: the RNG seed folds in the plan text, so
 //    different descriptions legitimately diverge.
 //  * Presence checks (Has()) observe the configuration without going through
-//    value interception. A plan that targets a presence-checked parameter is
-//    declared unpredictable rather than collapsed.
+//    value interception. Their predicted element carries the value the plan
+//    assigns, so a plan that targets a presence-checked parameter never
+//    aliases the baseline or a plan assigning it differently.
 //  * Reads through unmappable ("uncertain") confs never receive overrides, so
 //    they are plan-invariant and appear in traces as bare markers.
 
 #ifndef SRC_CONF_PLAN_EQUIV_H_
 #define SRC_CONF_PLAN_EQUIV_H_
 
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -112,17 +112,7 @@ bool PlanReproducesObservedTrace(const TestPlan& plan,
 // cross-plan cache key a real execution is indexed under.
 std::string ObservedTraceText(const SessionReport& report);
 
-// ---- Canonicalization + prediction -----------------------------------------
-
-struct CanonicalPlan {
-  // Canonical cache fingerprint: param plans sorted by name, entries and
-  // override pairs no targeted conf ever reads dropped. Empty when every
-  // entry dropped — the homogeneous-baseline (empty-plan) fingerprint.
-  std::string fingerprint;
-  bool changed = false;        // differs from the plan's own fingerprint
-  int dropped_entries = 0;     // whole ParamPlans removed
-  int dropped_overrides = 0;   // extra_override pairs removed
-};
+// ---- Prediction --------------------------------------------------------------
 
 class ReadSurface {
  public:
@@ -134,12 +124,9 @@ class ReadSurface {
   // that reads nothing is not worth indexing).
   bool usable() const { return usable_; }
 
-  CanonicalPlan Canonicalize(const TestPlan& plan) const;
-
   // Fills `*trace` with the trace this plan produces if the test reads
-  // exactly what the pre-run promised. Returns false when no sound
-  // prediction exists (the plan targets a presence-checked parameter).
-  bool PredictTrace(const TestPlan& plan, std::string* trace) const;
+  // exactly what the pre-run promised.
+  void PredictTrace(const TestPlan& plan, std::string* trace) const;
 
  private:
   struct Observation {
@@ -152,14 +139,8 @@ class ReadSurface {
     std::string head;
   };
 
-  bool ParamObserved(const std::string& param) const {
-    return observed_params_.count(param) > 0;
-  }
-
   std::vector<Observation> observations_;   // in trace-element sort order
   size_t head_bytes_ = 0;                   // sum of observations_' heads
-  std::set<std::string> observed_params_;   // params any observation touches
-  std::set<std::string> presence_params_;   // params observed via Has()
   bool usable_ = false;
 };
 

@@ -151,9 +151,22 @@ void ParamPlan::AppendAssignment(std::string* out) const {
   *out += '}';
 }
 
+void ParamPlan::AppendFingerprint(std::string* out) const {
+  AppendAssignment(out);
+  for (size_t i = 0; i < extra_overrides.size(); ++i) {
+    *out += i == 0 ? '[' : ',';
+    *out += extra_overrides[i].first;
+    *out += '=';
+    *out += extra_overrides[i].second;
+  }
+  if (!extra_overrides.empty()) {
+    *out += ']';
+  }
+}
+
 std::string ParamPlan::Fingerprint() const {
   std::string out;
-  AppendFingerprint(&out, [](const std::string&) { return true; });
+  AppendFingerprint(&out);
   return out;
 }
 
@@ -164,7 +177,7 @@ const std::string& TestPlan::Fingerprint() const {
       if (i > 0) {
         text += ", ";
       }
-      params_[i].AppendFingerprint(&text, [](const std::string&) { return true; });
+      params_[i].AppendFingerprint(&text);
     }
     fingerprint_ = std::move(text);
     fingerprint_valid_ = true;

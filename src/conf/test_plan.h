@@ -74,27 +74,8 @@ struct ParamPlan {
   // metadata no execution can observe.
   std::string Fingerprint() const;
 
-  // Appends Fingerprint() to *out, rendering only the extra_overrides whose
-  // parameter `keep_override` accepts (ReadSurface::Canonicalize drops the
-  // ones no targeted conf reads, without copying the entry).
-  template <typename KeepOverride>
-  void AppendFingerprint(std::string* out, const KeepOverride& keep_override) const {
-    AppendAssignment(out);
-    bool open = false;
-    for (const auto& [name, value] : extra_overrides) {
-      if (!keep_override(name)) {
-        continue;
-      }
-      *out += open ? ',' : '[';
-      open = true;
-      *out += name;
-      *out += '=';
-      *out += value;
-    }
-    if (open) {
-      *out += ']';
-    }
-  }
+  // Appends Fingerprint() to *out.
+  void AppendFingerprint(std::string* out) const;
 
   // Appends "param{strategy values}": the assignment alone, which is all
   // TestPlan::Describe() renders per entry.
@@ -105,9 +86,9 @@ struct ParamPlan {
 //
 // Fingerprint() and DescribeSeed() are memoized on the plan: both walk and
 // render every entry, and the hot path asks for the same plan's identity
-// several times per run — cache probe, equivalence canonicalization, session
-// seeding. Mutation goes through Add() or mutable_params(), which drop the
-// memo. The memo fields are `mutable` and unsynchronized: a plan is owned by
+// several times per run — cache probe, insert, session seeding. Mutation
+// goes through Add() or mutable_params(), which drop the memo. The memo
+// fields are `mutable` and unsynchronized: a plan is owned by
 // exactly one worker at a time (campaign engines copy plans into per-worker
 // units), so concurrent const access to a shared TestPlan is not part of the
 // contract.

@@ -58,6 +58,15 @@ int64_t CampaignReport::TotalExecuted() const {
   return SumField(per_app, &AppStageCounts::executed_runs);
 }
 
+void ReportCacheStats(const RunCache::Stats& stats, CampaignReport* report) {
+  report->cache_hits = stats.hits;
+  report->cache_misses = stats.misses;
+  report->equiv_hits = stats.equiv_hits;
+  report->mispredictions = stats.mispredictions;
+  report->cache_evictions = stats.evictions;
+  report->cache_load_failures = stats.load_failures;
+}
+
 // ---------------------------------------------------------------------------
 // CampaignFolder: canonical-order merge of unit results.
 // ---------------------------------------------------------------------------
@@ -100,12 +109,6 @@ void CampaignFolder::Fold(const UnitWorkResult& unit) {
 
   report_.first_trial_candidates += unit.first_trial_candidates;
   report_.filtered_by_hypothesis += unit.filtered_by_hypothesis;
-  report_.cache_hits += unit.cache_hits;
-  report_.cache_misses += unit.cache_misses;
-  report_.equiv_hits += unit.equiv_hits;
-  report_.canonicalized_plans += unit.canonicalized_plans;
-  report_.mispredictions += unit.mispredictions;
-  report_.cache_evictions += unit.cache_evictions;
   report_.coupling_runs += unit.coupling_runs;
   report_.coupling_confirmations += unit.coupling_confirmations;
   if (unit.dynamic_phase_skipped) {
@@ -471,8 +474,8 @@ UnitWorkResult Campaign::RunUnitDynamic(
     return unit;
   }
 
-  // Observational-equivalence layer: the pre-run's read surface canonicalizes
-  // and trace-predicts every plan this unit's dynamic phase executes (see
+  // Observational-equivalence layer: the pre-run's read surface
+  // trace-predicts every plan this unit's dynamic phase executes (see
   // plan_equiv.h). Installed for this unit only — the surface is the promise
   // of *this* test's pre-run (thread-scoped state, like the cache).
   // Built only when the layer is on: nothing else reads the surface.
@@ -546,18 +549,7 @@ UnitWorkResult Campaign::RunUnitDynamic(
 UnitWorkResult Campaign::RunUnit(const UnitTestDef& test,
                                  const std::set<std::string>& globally_unsafe,
                                  const ConfirmationObserver& on_confirmation) {
-  RunCache* cache = active_cache();
-  ScopedRunCache scoped_cache(cache);
-  // Per-unit stat deltas only make sense when this engine is the cache's
-  // sole user; under a shared cache, concurrent workers move the counters
-  // between our two reads, so the deltas are skipped and the scheduler
-  // fills report totals from the shared cache once at the end.
-  const bool track_unit_stats = cache != nullptr && shared_run_cache_ == nullptr;
-  RunCache::Stats stats_before;
-  if (track_unit_stats) {
-    stats_before = cache->stats();
-  }
-
+  ScopedRunCache scoped_cache(active_cache());
   std::vector<double> durations;
   UnitWorkResult unit;
   {
@@ -568,16 +560,6 @@ UnitWorkResult Campaign::RunUnit(const UnitTestDef& test,
     unit.prerun_executions = prerun_executions;
   }
   unit.run_durations = std::move(durations);
-  if (track_unit_stats) {
-    RunCache::Stats stats = cache->stats();
-    unit.cache_hits = stats.hits - stats_before.hits;
-    unit.cache_misses = stats.misses - stats_before.misses;
-    unit.equiv_hits = stats.equiv_hits - stats_before.equiv_hits;
-    unit.canonicalized_plans =
-        stats.canonicalized_plans - stats_before.canonicalized_plans;
-    unit.mispredictions = stats.mispredictions - stats_before.mispredictions;
-    unit.cache_evictions = stats.evictions - stats_before.evictions;
-  }
   return unit;
 }
 
@@ -621,14 +603,7 @@ CampaignReport Campaign::Run() {
 
   auto end = std::chrono::steady_clock::now();
   if (run_cache_ != nullptr) {
-    RunCache::Stats stats = run_cache_->stats();
-    folder.report().cache_hits = stats.hits;
-    folder.report().cache_misses = stats.misses;
-    folder.report().equiv_hits = stats.equiv_hits;
-    folder.report().canonicalized_plans = stats.canonicalized_plans;
-    folder.report().mispredictions = stats.mispredictions;
-    folder.report().cache_evictions = stats.evictions;
-    folder.report().cache_load_failures = stats.load_failures;
+    ReportCacheStats(run_cache_->stats(), &folder.report());
   }
   folder.report().wall_seconds = std::chrono::duration<double>(end - start).count();
   return folder.Finish();

@@ -200,17 +200,20 @@ struct CampaignReport {
   int64_t cache_misses = 0;
 
   // Observational-equivalence accounting (all 0 when the layer is off).
-  // equiv_hits are serves through the canonical-plan or read-trace index;
-  // canonicalized_plans counts plans rewritten to a smaller canonical form;
-  // mispredictions counts pre-run promises that did not survive validation
-  // (each fell back to a real execution); cache_evictions counts LRU
-  // evictions under the configured budget. Like cache_hits these depend on
-  // scheduling (per-worker caches), so they are accounting, not part of the
-  // bitwise determinism contract.
+  // equiv_hits are serves through the read-trace index; mispredictions
+  // counts executions whose observed trace broke the pre-run's promise;
+  // cache_evictions counts LRU evictions under the configured budget. Like
+  // cache_hits these depend on scheduling (the pool's workers race for one
+  // cache, the fabric's agents each own one), so they are accounting, not
+  // part of the bitwise determinism contract.
   int64_t equiv_hits = 0;
-  int64_t canonicalized_plans = 0;
   int64_t mispredictions = 0;
   int64_t cache_evictions = 0;
+
+  // Always 0. The canonical-fingerprint index that filled it is gone; the
+  // field stays only because the benchmark's oracle (perfbench/src/oracle.cc)
+  // still assigns it by name.
+  int64_t canonicalized_plans = 0;
 
   // Coupling add-on accounting (0/0 when the phase is off or no prior is
   // configured). coupling_runs counts pairwise plans plus their blame-
@@ -273,6 +276,11 @@ struct CampaignReport {
   int64_t TotalExecuted() const;
 };
 
+// Copies a run cache's counters into the report: the one mapping from
+// RunCache::Stats to report fields, used by every engine once its campaign
+// is over (only the cache's owner knows its totals).
+void ReportCacheStats(const RunCache::Stats& stats, CampaignReport* report);
+
 // One parameter confirmed heterogeneous-unsafe within one work unit.
 struct UnitConfirmation {
   std::string param;
@@ -315,13 +323,6 @@ struct UnitWorkResult {
 
   // In confirmation order (the order VerifyInstance confirmed them).
   std::vector<UnitConfirmation> confirmations;
-
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
-  int64_t equiv_hits = 0;
-  int64_t canonicalized_plans = 0;
-  int64_t mispredictions = 0;
-  int64_t cache_evictions = 0;
 
   // Coupling add-on (see CampaignReport). Confirmations found by the add-on
   // are appended after the enumerative ones, so confirmations.front() is
@@ -415,9 +416,10 @@ class Campaign {
   // frequent-failure set a sequential campaign would know when reaching this
   // unit (any other set yields a result the scheduler detects and re-runs).
   // `on_confirmation`, when set, is called with each confirmation as it is
-  // made. Installs this campaign's run cache and a unit-local duration
-  // collector for the duration of the call. Used by parallel-scheduler
-  // workers.
+  // made. Installs this campaign's active cache and a unit-local duration
+  // collector for the duration of the call; the result carries no cache
+  // counters (the cache's owner reports them, see ReportCacheStats). Used by
+  // the thread pool's workers and the fabric's agents.
   UnitWorkResult RunUnit(const UnitTestDef& test,
                          const std::set<std::string>& globally_unsafe,
                          const ConfirmationObserver& on_confirmation = {});
@@ -434,11 +436,9 @@ class Campaign {
   // Routes this engine's executions through an externally owned, internally
   // synchronized cache instead of the campaign-owned one. The thread-pool
   // scheduler hands every worker engine the same cache, so any worker's
-  // result is served to all. Per-unit cache-stat deltas are skipped in this
-  // mode (concurrent workers' activity would pollute them); the scheduler
-  // fills report totals once, from the shared cache, at the end. Pass
-  // nullptr to restore the owned cache. The caller keeps ownership and must
-  // outlive every RunUnit call.
+  // result is served to all; the scheduler reports the shared cache's
+  // counters once, at the end. Pass nullptr to restore the owned cache. The
+  // caller keeps ownership and must outlive every RunUnit call.
   void UseSharedRunCache(RunCache* cache) { shared_run_cache_ = cache; }
 
   // The cache executions actually go through: shared if installed, else the
@@ -449,8 +449,8 @@ class Campaign {
 
  private:
   // Per-test dynamic phase over one pre-run record. Fills everything in the
-  // result except prerun_executions, run_durations, and cache counters
-  // (owned by the callers, who know what else ran).
+  // result except prerun_executions and run_durations (owned by the
+  // callers, who know what else ran).
   UnitWorkResult RunUnitDynamic(const PreRunRecord& record,
                                 const std::set<std::string>& globally_unsafe,
                                 const ConfirmationObserver& on_confirmation) const;

@@ -572,27 +572,11 @@ int RunCampaignAgent(const ConfSchema& schema, const UnitTestRegistry& corpus,
   }
 
   if (exit_code == 0) {
-    // Farewell stats: per-campaign deltas against the post-load baseline (a
-    // warm start must not re-report last campaign's hits), except
-    // load_failures, which is absolute by design — it is the health signal
-    // that says "a cache file was corrupt", and it must survive into the
-    // coordinator's report even though the failure predates the baseline.
+    // Farewell stats (fabric_wire.h): per-campaign deltas against the
+    // post-load baseline, load failures absolute.
     std::string stats;
     if (shared_cache != nullptr) {
-      RunCache::Stats s = shared_cache->stats();
-      stats =
-          "cache_hits=" + Int64ToString(s.hits - cache_baseline.hits) + "\n" +
-          "cache_misses=" + Int64ToString(s.misses - cache_baseline.misses) +
-          "\n" + "equiv_hits=" +
-          Int64ToString(s.equiv_hits - cache_baseline.equiv_hits) + "\n" +
-          "canonicalized_plans=" +
-          Int64ToString(s.canonicalized_plans -
-                        cache_baseline.canonicalized_plans) +
-          "\n" + "mispredictions=" +
-          Int64ToString(s.mispredictions - cache_baseline.mispredictions) +
-          "\n" + "cache_evictions=" +
-          Int64ToString(s.evictions - cache_baseline.evictions) + "\n" +
-          "cache_load_failures=" + Int64ToString(s.load_failures);
+      stats = EncodeCacheStats(shared_cache->stats(), cache_baseline);
     }
     std::lock_guard<std::mutex> lock(write_mutex);
     WriteFabricFrame(fd, FabricMsg::kStats, stats);

@@ -91,32 +91,6 @@ struct Fleet {
   }
 };
 
-// Adds an agent's kStats farewell ("key=value" lines) to the cache totals.
-void AddFarewellStats(const std::string& payload, RunCache::Stats* totals) {
-  const std::pair<const char*, int64_t*> fields[] = {
-      {"cache_hits", &totals->hits},
-      {"cache_misses", &totals->misses},
-      {"equiv_hits", &totals->equiv_hits},
-      {"canonicalized_plans", &totals->canonicalized_plans},
-      {"mispredictions", &totals->mispredictions},
-      {"cache_evictions", &totals->evictions},
-      {"cache_load_failures", &totals->load_failures},
-  };
-  for (const std::string& line : StrSplit(payload, '\n')) {
-    size_t equals = line.find('=');
-    int64_t value = 0;
-    if (equals == std::string::npos ||
-        !ParseInt64(line.substr(equals + 1), &value) || value < 0) {
-      continue;
-    }
-    for (const auto& [key, total] : fields) {
-      if (line.compare(0, equals, key) == 0) {
-        *total += value;
-      }
-    }
-  }
-}
-
 }  // namespace
 
 CampaignReport RunDistributedCampaign(
@@ -720,7 +694,7 @@ CampaignReport RunDistributedCampaign(
         if (type != FabricMsg::kStats) {
           continue;
         }
-        AddFarewellStats(payload, &cache_totals);
+        AddCacheStats(payload, &cache_totals);
         got_farewell = true;
         break;
       }

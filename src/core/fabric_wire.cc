@@ -240,6 +240,61 @@ bool DecodeConfirm(const std::string& payload, size_t* unit, int* attempt,
   return true;
 }
 
+namespace {
+
+// The kStats field list: wire key, counter, and whether the agent reports it
+// as a delta against its post-load baseline.
+struct CacheStatsField {
+  const char* key;
+  int64_t RunCache::Stats::*counter;
+  bool delta;
+};
+
+constexpr CacheStatsField kCacheStatsFields[] = {
+    {"cache_hits", &RunCache::Stats::hits, true},
+    {"cache_misses", &RunCache::Stats::misses, true},
+    {"equiv_hits", &RunCache::Stats::equiv_hits, true},
+    {"mispredictions", &RunCache::Stats::mispredictions, true},
+    {"cache_evictions", &RunCache::Stats::evictions, true},
+    {"cache_load_failures", &RunCache::Stats::load_failures, false},
+};
+
+}  // namespace
+
+std::string EncodeCacheStats(const RunCache::Stats& stats,
+                             const RunCache::Stats& baseline) {
+  std::string payload;
+  for (const CacheStatsField& field : kCacheStatsFields) {
+    int64_t value = stats.*field.counter;
+    if (field.delta) {
+      value -= baseline.*field.counter;
+    }
+    if (!payload.empty()) {
+      payload += '\n';
+    }
+    payload += field.key;
+    payload += '=';
+    payload += Int64ToString(value);
+  }
+  return payload;
+}
+
+void AddCacheStats(const std::string& payload, RunCache::Stats* totals) {
+  for (const std::string& line : StrSplit(payload, '\n')) {
+    size_t equals = line.find('=');
+    int64_t value = 0;
+    if (equals == std::string::npos ||
+        !ParseInt64(line.substr(equals + 1), &value) || value < 0) {
+      continue;
+    }
+    for (const CacheStatsField& field : kCacheStatsFields) {
+      if (line.compare(0, equals, field.key) == 0) {
+        totals->*field.counter += value;
+      }
+    }
+  }
+}
+
 int ListenTcp(const std::string& host, uint16_t port, uint16_t* bound_port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {

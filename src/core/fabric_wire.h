@@ -47,6 +47,8 @@
 #include <string>
 #include <vector>
 
+#include "src/testkit/run_cache.h"
+
 namespace zebra {
 
 // Version 3: streamed confirmations (kConfirm) on top of v2's batched
@@ -130,6 +132,22 @@ std::string EncodeConfirm(size_t unit, int attempt, const std::string& param);
 // non-empty and free of newlines; the caller then treats the peer as broken.
 bool DecodeConfirm(const std::string& payload, size_t* unit, int* attempt,
                    std::string* param);
+
+// --- Cache-stats farewell -----------------------------------------------------
+//
+// A kStats payload is "key=value" lines, one per run-cache counter an agent
+// reports: hits, misses, equivalence hits, mispredictions and evictions as
+// deltas against the stats its cache had after the warm start (a warm start
+// must not report the last campaign's hits again), load failures absolute (a
+// corrupt cache file predates that baseline, and the report must still show
+// it). Encoder and decoder share one field list.
+
+std::string EncodeCacheStats(const RunCache::Stats& stats,
+                             const RunCache::Stats& baseline);
+
+// Adds a kStats payload's counters to *totals, skipping lines that are
+// malformed, negative or name no counter.
+void AddCacheStats(const std::string& payload, RunCache::Stats* totals);
 
 // --- TCP plumbing -----------------------------------------------------------
 

@@ -224,17 +224,11 @@ CampaignReport FoldCoordinator::Finish(const RunCache::Stats* cache_totals) {
     report.poisoned_units.push_back(units_[unit].test->id);
   }
   if (cache_totals != nullptr) {
-    // Workers behind a shared or remote cache skip per-unit cache deltas
-    // (Campaign::UseSharedRunCache), so the folded counters are zero; the
-    // transport supplies totals instead. Like every cache counter they are
-    // accounting, not part of the determinism contract.
-    report.cache_hits = cache_totals->hits;
-    report.cache_misses = cache_totals->misses;
-    report.equiv_hits = cache_totals->equiv_hits;
-    report.canonicalized_plans = cache_totals->canonicalized_plans;
-    report.mispredictions = cache_totals->mispredictions;
-    report.cache_evictions = cache_totals->evictions;
-    report.cache_load_failures = cache_totals->load_failures;
+    // Unit results carry no cache counters; the engine that owns the cache
+    // (the pool's shared one, the agents' summed farewells) supplies them.
+    // Like every cache counter they are accounting, not part of the
+    // determinism contract.
+    ReportCacheStats(*cache_totals, &report);
   }
   report.wall_seconds = SteadySeconds() - start_seconds_;
   return folder_.Finish();

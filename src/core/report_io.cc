@@ -77,12 +77,6 @@ std::string SerializeUnitResult(size_t unit_index, const UnitWorkResult& unit) {
   properties["started_any_node"] = unit.started_any_node ? "1" : "0";
   properties["first_trial_candidates"] = Int64ToString(unit.first_trial_candidates);
   properties["filtered_by_hypothesis"] = Int64ToString(unit.filtered_by_hypothesis);
-  properties["cache_hits"] = Int64ToString(unit.cache_hits);
-  properties["cache_misses"] = Int64ToString(unit.cache_misses);
-  properties["equiv_hits"] = Int64ToString(unit.equiv_hits);
-  properties["canonicalized_plans"] = Int64ToString(unit.canonicalized_plans);
-  properties["mispredictions"] = Int64ToString(unit.mispredictions);
-  properties["cache_evictions"] = Int64ToString(unit.cache_evictions);
   properties["coupling_runs"] = Int64ToString(unit.coupling_runs);
   properties["coupling_confirmations"] =
       Int64ToString(unit.coupling_confirmations);
@@ -140,15 +134,12 @@ bool ParseUnitResult(const std::string& text, size_t* unit_index,
       !get_int("executed_runs", &unit->executed_runs) ||
       !get_int("runs_to_first_confirmation", &unit->runs_to_first_confirmation) ||
       !get_int("first_trial_candidates", &candidates) ||
-      !get_int("filtered_by_hypothesis", &filtered) ||
-      !get_int("cache_hits", &unit->cache_hits) ||
-      !get_int("cache_misses", &unit->cache_misses) ||
-      !get_int("equiv_hits", &unit->equiv_hits) ||
-      !get_int("canonicalized_plans", &unit->canonicalized_plans) ||
-      !get_int("mispredictions", &unit->mispredictions) ||
-      !get_int("cache_evictions", &unit->cache_evictions)) {
+      !get_int("filtered_by_hypothesis", &filtered)) {
     return false;
   }
+  // Older texts also carry per-unit cache counters (cache_hits through
+  // cache_evictions); they were always 0 and are ignored like any unknown
+  // key.
   unit->first_trial_candidates = static_cast<int>(candidates);
   unit->filtered_by_hypothesis = static_cast<int>(filtered);
   unit->any_conf_usage = get("any_conf_usage") == "1";
@@ -239,7 +230,6 @@ std::string SerializeReport(const CampaignReport& report) {
   properties["cache_hits"] = Int64ToString(report.cache_hits);
   properties["cache_misses"] = Int64ToString(report.cache_misses);
   properties["equiv_hits"] = Int64ToString(report.equiv_hits);
-  properties["canonicalized_plans"] = Int64ToString(report.canonicalized_plans);
   properties["mispredictions"] = Int64ToString(report.mispredictions);
   properties["cache_evictions"] = Int64ToString(report.cache_evictions);
   properties["coupling_runs"] = Int64ToString(report.coupling_runs);
@@ -343,8 +333,6 @@ CampaignReport DeserializeReport(const std::string& text) {
   ParseInt64(GetOr(properties, "cache_misses", "0"), &report.cache_misses);
   // Absent in pre-equivalence serializations: the layer did not exist.
   ParseInt64(GetOr(properties, "equiv_hits", "0"), &report.equiv_hits);
-  ParseInt64(GetOr(properties, "canonicalized_plans", "0"),
-             &report.canonicalized_plans);
   ParseInt64(GetOr(properties, "mispredictions", "0"), &report.mispredictions);
   ParseInt64(GetOr(properties, "cache_evictions", "0"), &report.cache_evictions);
   // Absent in pre-coupling serializations.

@@ -141,8 +141,10 @@ constexpr char kCacheFileMagic[] = "zebra-run-cache-v2";
 // concatenated string).
 constexpr std::string_view kSep = "\x1f";
 constexpr std::string_view kSepStar = "\x1f*";
-constexpr std::string_view kCanonicalTag = "C\x1f";
 constexpr std::string_view kTraceTag = "T\x1f";
+// The tag of the retired canonical-fingerprint index, whose records older
+// cache files still carry; LoadFromFile skips them.
+constexpr std::string_view kRetiredCanonicalTag = "C\x1f";
 
 // The digest of test_id + '\x1f' + plan_text, which the exact and wildcard
 // keys both extend: a lookup or insert folds the (long) plan text once.
@@ -160,8 +162,8 @@ Digest128 WildcardKeyFromPrefix(Digest128 prefix) {
   return HashFnv128(kSepStar, prefix);
 }
 
-// The wildcard, canonical and trace key shapes end in "\x1f*"; an exact key
-// ends in its trial's digits.
+// The wildcard and trace key shapes end in "\x1f*"; an exact key ends in its
+// trial's digits.
 bool EndsWithSepStar(const std::string& key) {
   return key.size() >= 2 && key[key.size() - 2] == '\x1f' && key.back() == '*';
 }
@@ -175,9 +177,8 @@ RunCache* GlobalRunCache() { return g_run_cache; }
 // '\x1f' (unit separator) cannot appear in test ids or plan fingerprints, so
 // the concatenation is injective; the full string defines the key — the
 // 128-bit digests below are digests *of these strings*, derived without
-// materializing them. The equivalence namespaces get a distinct tag prefix
-// so a canonical fingerprint can never collide with a plan fingerprint of
-// the same text.
+// materializing them. The trace namespace gets a distinct tag prefix so a
+// trace can never collide with a plan fingerprint of the same text.
 std::string RunCache::ExactKey(const std::string& test_id, const std::string& plan_text,
                                uint64_t trial) {
   return test_id + '\x1f' + plan_text + '\x1f' + std::to_string(trial);
@@ -186,11 +187,6 @@ std::string RunCache::ExactKey(const std::string& test_id, const std::string& pl
 std::string RunCache::WildcardKey(const std::string& test_id,
                                   const std::string& plan_text) {
   return test_id + '\x1f' + plan_text + "\x1f*";
-}
-
-std::string RunCache::CanonicalKey(const std::string& test_id,
-                                   const std::string& canonical_fingerprint) {
-  return std::string("C\x1f") + test_id + '\x1f' + canonical_fingerprint + "\x1f*";
 }
 
 std::string RunCache::TraceKey(const std::string& test_id, const std::string& trace) {
@@ -208,15 +204,6 @@ Digest128 RunCache::ExactRunKey(const std::string& test_id,
 Digest128 RunCache::WildcardRunKey(const std::string& test_id,
                                    const std::string& plan_text) {
   return WildcardKeyFromPrefix(PlanKeyPrefix(test_id, plan_text));
-}
-
-Digest128 RunCache::CanonicalRunKey(const std::string& test_id,
-                                    const std::string& canonical_fingerprint) {
-  Digest128 digest = HashFnv128(kCanonicalTag);
-  digest = HashFnv128(test_id, digest);
-  digest = HashFnv128(kSep, digest);
-  digest = HashFnv128(canonical_fingerprint, digest);
-  return HashFnv128(kSepStar, digest);
 }
 
 Digest128 RunCache::TraceRunKey(const std::string& test_id,
@@ -316,25 +303,6 @@ void RunCache::EnforceLimits() {
   }
 }
 
-const TestResult* RunCache::Lookup(const std::string& test_id,
-                                   const std::string& plan_text, uint64_t trial,
-                                   RunQuery* query) {
-  // The serving node still holds the payload: callers of this overload
-  // serialize all access, so nothing can evict it before they read it.
-  std::shared_ptr<const Entry> entry = LookupEntry(test_id, plan_text, trial, query);
-  return entry == nullptr ? nullptr : entry->result.get();
-}
-
-bool RunCache::Lookup(const std::string& test_id, const std::string& plan_text,
-                      uint64_t trial, RunQuery* query, TestResult* out) {
-  std::shared_ptr<const Entry> entry = LookupEntry(test_id, plan_text, trial, query);
-  if (entry == nullptr) {
-    return false;
-  }
-  *out = *entry->result;
-  return true;
-}
-
 std::shared_ptr<const TestResult> RunCache::LookupShared(
     const std::string& test_id, const std::string& plan_text, uint64_t trial,
     RunQuery* query) {
@@ -372,46 +340,17 @@ std::shared_ptr<const RunCache::Entry> RunCache::LookupEntry(
     }
   }
 
-  // Derive the equivalence keys only now, past the exact fast path (exact
+  // Derive the predicted trace only now, past the exact fast path (exact
   // hits pay nothing for the layer), and outside the lock.
-  bool canonicalized_now = false;
   if (!query->computed) {
-    CanonicalPlan canonical = query->surface->Canonicalize(*query->plan);
-    query->canonical_fingerprint = std::move(canonical.fingerprint);
-    query->canonical_key = CanonicalRunKey(test_id, query->canonical_fingerprint);
-    query->plan_canonicalized = canonical.changed;
-    query->has_trace =
-        query->surface->PredictTrace(*query->plan, &query->predicted_trace);
-    if (query->has_trace) {
-      query->trace_key = TraceRunKey(test_id, query->predicted_trace);
-    }
+    query->surface->PredictTrace(*query->plan, &query->predicted_trace);
+    query->trace_key = TraceRunKey(test_id, query->predicted_trace);
     query->computed = true;
-    canonicalized_now = query->plan_canonicalized;
   }
   // Filled under the lock, matched after it.
   std::vector<Candidate> candidates;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (canonicalized_now) {
-      ++stats_.canonicalized_plans;
-    }
-    // Canonical-fingerprint index: same canonical form implies the same
-    // served value at every promised read. Serving is still gated on the
-    // stored execution's observed trace matching this plan's prediction —
-    // if the pre-run promise was broken (a value-gated read appeared), the
-    // traces differ and the serve is refused.
-    if (Node* node = Touch(query->canonical_key)) {
-      if (query->has_trace &&
-          node->entry->observed_trace == query->predicted_trace) {
-        ++stats_.equiv_hits;
-        return node->entry;
-      }
-      ++stats_.mispredictions;
-    }
-    if (!query->has_trace) {
-      ++stats_.misses;
-      return nullptr;
-    }
     // Trace index fast path: the key *is* the stored execution's observed
     // trace, so a hit is self-validating — predicted == observed by key
     // equality.
@@ -465,7 +404,7 @@ void RunCache::Insert(const std::string& test_id, const std::string& plan_text,
     std::string legacy_key;
     bool trace = false;  // registered for restriction matching once inserted
   };
-  Alias aliases[4];
+  Alias aliases[3];
   size_t alias_count = 0;
   bool mispredicted = false;
   const Digest128 prefix = query != nullptr && query->keyed
@@ -484,23 +423,14 @@ void RunCache::Insert(const std::string& test_id, const std::string& plan_text,
     // before the unit's ReadSurface exists, yet must be reachable by plans
     // that later collapse to it.
     if (!observed.empty()) {
-      const bool as_predicted = equiv != nullptr && equiv->has_trace &&
-                                equiv->predicted_trace == observed;
+      const bool as_predicted =
+          equiv != nullptr && equiv->predicted_trace == observed;
       aliases[alias_count++] = {
           as_predicted ? equiv->trace_key : TraceRunKey(test_id, observed),
           TraceKey(test_id, observed), /*trace=*/true};
-      if (equiv != nullptr) {
-        if (equiv->has_trace && !as_predicted) {
-          // The pre-run promise was broken for this plan: a value-gated read
-          // appeared or a promised read vanished. The canonical index would
-          // conflate this run with plans it is not equivalent to, so skip it.
-          mispredicted = true;
-        } else {
-          aliases[alias_count++] = {
-              equiv->canonical_key,
-              CanonicalKey(test_id, equiv->canonical_fingerprint)};
-        }
-      }
+      // The pre-run promise was broken for this plan: a value-gated read
+      // appeared or a promised read vanished.
+      mispredicted = equiv != nullptr && !as_predicted;
     }
   }
 
@@ -566,10 +496,10 @@ bool RunCache::SaveToFile(const std::string& path) const {
 }
 
 // Re-derives a persisted key's digest through the same component folds the
-// hot path uses (parsing the legacy shape: tagged canonical/trace keys, then
+// hot path uses (parsing the legacy shape: tagged trace keys, then
 // exact/wildcard). Returns false for a shape SaveToFile never emits.
 bool RunCache::DeriveComponentDigest(const std::string& key, Digest128* out) {
-  if (key.size() >= 2 && (key[0] == 'C' || key[0] == 'T') && key[1] == '\x1f') {
+  if (key.rfind(kTraceTag, 0) == 0) {
     size_t id_end = key.find('\x1f', 2);
     if (id_end == std::string::npos || !EndsWithSepStar(key) ||
         id_end + 1 > key.size() - 2) {
@@ -578,8 +508,7 @@ bool RunCache::DeriveComponentDigest(const std::string& key, Digest128* out) {
     const std::string test_id = key.substr(2, id_end - 2);
     const std::string payload =
         key.substr(id_end + 1, key.size() - 2 - (id_end + 1));
-    *out = key[0] == 'C' ? CanonicalRunKey(test_id, payload)
-                         : TraceRunKey(test_id, payload);
+    *out = TraceRunKey(test_id, payload);
     return true;
   }
   size_t id_end = key.find('\x1f');
@@ -666,10 +595,16 @@ bool RunCache::LoadFromFile(const std::string& path) {
         !DeserializeSessionReport(blob, &result->report)) {
       return reject("truncated or corrupt entry");
     }
+    if (key.rfind(kRetiredCanonicalTag, 0) == 0) {
+      // Parsed as exact/wildcard, this key would pass the gate below as a
+      // wildcard entry of a test named "C" and be saved again forever. The
+      // run it holds is also recorded under its trace key.
+      continue;
+    }
     result->passed = passed == "1";
-    // Insert stores the wildcard, canonical and trace aliases of
-    // trial-insensitive runs only, so a record under one of them carries
-    // that proof; an exact record stays trial-sensitive.
+    // Insert stores the wildcard and trace aliases of trial-insensitive runs
+    // only, so a record under one of them carries that proof; an exact
+    // record stays trial-sensitive.
     result->trial_sensitive = !EndsWithSepStar(key);
     entry->result = std::move(result);
     entry->payload_bytes = PayloadBytes(*entry->result, entry->observed_trace);
@@ -704,7 +639,7 @@ bool RunCache::LoadFromFile(const std::string& path) {
     ++stats_.entries;
     // Re-register trace-indexed entries ("T\x1f" + test_id + '\x1f' + ...)
     // for restriction matching.
-    if (key.rfind("T\x1f", 0) == 0) {
+    if (key.rfind(kTraceTag, 0) == 0) {
       size_t id_end = key.find('\x1f', 2);
       if (id_end != std::string::npos) {
         trace_keys_by_test_[key.substr(2, id_end - 2)].push_back(whole_key);

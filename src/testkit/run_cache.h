@@ -22,7 +22,7 @@
 //
 // Keys are 128-bit FNV-1a digests (common/strings.h Digest128) of the legacy
 // string keys — test id, plan fingerprint, and trial joined with '\x1f', plus
-// the tagged canonical/trace namespaces. The digest is derived by folding the
+// the tagged trace namespace. The digest is derived by folding the
 // key *components* (the digest of a concatenation is the fold of its pieces),
 // so the hot path never materializes a key string; the string form survives
 // only in the checksummed persistence format. 128 bits makes an accidental
@@ -34,17 +34,17 @@
 //
 // On top of exact matching sits the observational-equivalence layer (see
 // plan_equiv.h). Trial-insensitive executions are additionally indexed by
-//   * their canonical plan fingerprint (override entries no targeted conf
-//     ever reads dropped, entries sorted), and
-//   * the trace of (entity, param, value-served) observations they actually
-//     made,
-// so a later plan that is observationally identical reuses the result even
-// when its description differs. Serving through either key is gated on trace
-// validation: the stored execution's *observed* trace must be byte-identical
-// to the trace the current plan *predicts*, which proves by induction over
-// the read sequence that the stored execution is the one this plan would
-// have produced. Mispredictions (the pre-run promise was broken) are counted
-// and fall back to real execution — never trusted.
+// the trace of (entity, param, value-served) observations they actually
+// made, so a later plan that is observationally identical reuses the result
+// even when its description differs. The lookup probes that index with the
+// trace the current plan *predicts*: a hit means the stored execution's
+// *observed* trace is byte-identical to the prediction, which proves by
+// induction over the read sequence that the stored execution is the one this
+// plan would have produced. Restriction matching extends this to stored runs
+// that stopped early (see LookupEntry). A run whose observed trace differs
+// from its own prediction (the pre-run promise was broken) counts a
+// misprediction; it is still indexed under what it observed, which is always
+// truthful.
 //
 // What an entry holds follows the recording contract (test_execution.h): a
 // heterogeneous run keeps its verdict, failure text, trial flag and
@@ -68,14 +68,13 @@
 // Ownership: one cache per thread of execution, installed via
 // SetGlobalRunCache (RAII: ScopedRunCache; the installed pointer is
 // thread-local). Campaign owns a cache when CampaignOptions.enable_run_cache
-// is set; parallel-scheduler workers each own a per-process cache that
-// persists across the work units they execute; the thread-pool scheduler
-// installs one *shared* cache on every worker thread, so a result computed
-// by one worker is served to all. All public methods are internally
-// synchronized. The pointer-returning Lookup is only safe when the caller
-// serializes all access (single-threaded harnesses and tests); concurrent
-// callers use LookupShared, whose returned shared_ptr stays valid past any
-// other thread's insert-triggered eviction without copying the result.
+// is set; the thread-pool scheduler installs one *shared* cache on every
+// worker thread, so a result computed by one worker is served to all, and
+// each fabric agent shares one across its threads. The owner alone reports
+// the counters (ReportCacheStats in campaign.h). All public methods are
+// internally synchronized, and LookupShared's returned shared_ptr stays
+// valid past any other thread's insert-triggered eviction without copying
+// the result.
 //
 // Lock discipline. Every pool worker consults the cache around every
 // execution, so whatever runs under the mutex runs serially across the pool.
@@ -83,11 +82,11 @@
 // registry and the stats: probes, splices, counter bumps, and the copy of at
 // most kMaxRestrictionCandidates restriction candidates as
 // shared_ptr<const Entry>. The calling thread does everything else unlocked:
-// key digests, Canonicalize/PredictTrace, restriction matching over its copy
-// (re-locking only to splice and count a match), each alias's legacy key, and
-// the entry's byte estimate (once per entry, not per alias). Matching outside
-// the lock is sound because an Entry is immutable once published and the copy
-// owns its candidates, so an eviction racing the match can neither free nor
+// key digests, PredictTrace, restriction matching over its copy (re-locking
+// only to splice and count a match), each alias's legacy key, and the entry's
+// byte estimate (once per entry, not per alias). Matching outside the lock is
+// sound because an Entry is immutable once published and the copy owns its
+// candidates, so an eviction racing the match can neither free nor
 // change what is being matched — and every candidate is still validated
 // against this plan before it is served. A racing insert can only turn a hit
 // into a miss (one re-execution) or serve through a different, equally
@@ -114,35 +113,29 @@ namespace zebra {
 class ReadSurface;
 
 // One run's cache context: what its lookup derives, kept for its insert so
-// the run hashes its plan text, canonical fingerprint and predicted trace
-// once each. A query belongs to one (test, plan) pair.
+// the run hashes its plan text and predicted trace once each. A query
+// belongs to one (test, plan) pair.
 //
 // `surface` and `plan` switch the equivalence layer on: the unit's pre-run
 // ReadSurface and the plan being run (neither owned; `plan` is dereferenced
-// only during Lookup, so the caller may move the plan away afterwards).
-// RunCache derives the canonical fingerprint and predicted trace lazily —
-// only once the exact keys have missed, so exact hits pay nothing for the
-// layer — and keeps them here so the matching Insert can validate the
-// pre-run promise without recomputing. An empty canonical fingerprint is
-// meaningful (the plan collapsed to the homogeneous baseline).
+// only during LookupShared, so the caller may move the plan away
+// afterwards). RunCache derives the predicted trace lazily — only once the
+// exact keys have missed, so exact hits pay nothing for the layer — and
+// keeps it here so the matching Insert can validate the pre-run promise
+// without recomputing.
 struct RunQuery {
   const ReadSurface* surface = nullptr;
   const TestPlan* plan = nullptr;
 
-  // Filled by every Lookup: the digest of test_id + '\x1f' + plan_text that
+  // Filled by every lookup: the digest of test_id + '\x1f' + plan_text that
   // the exact and wildcard keys extend.
   bool keyed = false;
   Digest128 prefix;
 
-  // Filled by RunCache::Lookup on the first exact miss, with the key digest
-  // of each derived string.
+  // Filled on the first exact miss: the predicted trace and its key digest.
   bool computed = false;
-  std::string canonical_fingerprint;
-  Digest128 canonical_key;
-  bool plan_canonicalized = false;  // canonical form differs from the plan's own
-  bool has_trace = false;
   std::string predicted_trace;
-  Digest128 trace_key;  // valid when has_trace
+  Digest128 trace_key;
 };
 
 class RunCache {
@@ -159,10 +152,9 @@ class RunCache {
     int64_t bytes = 0;   // approximate resident bytes across all entries
 
     // Observational-equivalence accounting.
-    int64_t equiv_hits = 0;            // serves via canonical or trace key
-    int64_t canonicalized_plans = 0;   // plans rewritten to a smaller canonical form
-    int64_t mispredictions = 0;        // predicted trace != observed/stored trace
-    int64_t evictions = 0;             // LRU evictions under Limits
+    int64_t equiv_hits = 0;        // serves via the trace index
+    int64_t mispredictions = 0;    // observed trace != the run's prediction
+    int64_t evictions = 0;         // LRU evictions under Limits
 
     // Two distinct legacy keys digesting to the same 128-bit key (insert- or
     // load-time cross-check). The colliding entry is dropped — a future miss
@@ -188,25 +180,13 @@ class RunCache {
 
   // Returns the cached result for the triple, or nullptr. A trial-wildcard
   // entry (stored by a trial-insensitive execution) matches any trial; when
-  // `query` carries a surface and plan, the canonical-fingerprint and
-  // predicted-trace keys are consulted next — each serve gated on trace
-  // validation — and finally this test's stored traces are scanned for one
-  // the plan provably reproduces (restriction matching). Counts a hit, an
-  // equiv hit, or a miss, and fills `query` (when given) for the Insert.
-  // Single-threaded callers only (see file comment).
-  const TestResult* Lookup(const std::string& test_id, const std::string& plan_text,
-                           uint64_t trial, RunQuery* query = nullptr);
-
-  // Copy-out variant, safe under concurrent mutation: the result is copied
-  // into `out` from a payload this call shares ownership of, so no pointer
-  // into the LRU escapes. Returns true on a hit.
-  bool Lookup(const std::string& test_id, const std::string& plan_text,
-              uint64_t trial, RunQuery* query, TestResult* out);
-
-  // Shared-ownership variant, safe under concurrent mutation *without* the
-  // deep copy: the returned pointer shares ownership of the immutable cache
-  // payload, so it stays valid even if another thread's insert evicts the
-  // entry right after it is found. This is what RunUnitTest uses.
+  // `query` carries a surface and plan, the predicted-trace key is consulted
+  // next, and finally this test's stored traces are scanned for one the plan
+  // provably reproduces (restriction matching). Counts a hit, an equiv hit,
+  // or a miss, and fills `query` (when given) for the Insert. Safe under
+  // concurrent mutation without a deep copy: the returned pointer shares
+  // ownership of the immutable cache payload, so it stays valid even if
+  // another thread's insert evicts the entry right after it is found.
   std::shared_ptr<const TestResult> LookupShared(const std::string& test_id,
                                                  const std::string& plan_text,
                                                  uint64_t trial,
@@ -216,13 +196,12 @@ class RunCache {
   // (empty when the run recorded none), which the entry takes over.
   // `trial_insensitive` executions are stored under the wildcard key as
   // well, so every future trial hits, and additionally under their observed
-  // trace. When `query` carries the predictions the preceding Lookup derived
-  // and the prediction held, the result is also indexed by the canonical
-  // fingerprint; a broken prediction counts a misprediction and skips the
-  // canonical index. Key digests the Lookup left in `query` are reused, not
-  // derived again. The shared-pointer overload stores the caller's result
-  // without copying it (every key alias shares one payload); the by-value
-  // overload is a convenience that wraps its argument.
+  // trace. When `query` carries the prediction the preceding lookup derived
+  // and the observed trace differs from it, a misprediction is counted. Key
+  // digests the lookup left in `query` are reused, not derived again. The
+  // shared-pointer overload stores the caller's result without copying it
+  // (every key alias shares one payload); the by-value overload is a
+  // convenience that wraps its argument.
   void Insert(const std::string& test_id, const std::string& plan_text,
               uint64_t trial, bool trial_insensitive,
               std::shared_ptr<const TestResult> result,
@@ -247,7 +226,7 @@ class RunCache {
   void ResetStats() {
     std::lock_guard<std::mutex> lock(mutex_);
     stats_.hits = stats_.misses = 0;
-    stats_.equiv_hits = stats_.canonicalized_plans = stats_.mispredictions = 0;
+    stats_.equiv_hits = stats_.mispredictions = 0;
   }
 
   Limits limits() const {
@@ -269,11 +248,13 @@ class RunCache {
   // contents and re-derives each 128-bit key twice — from the whole string
   // and from its parsed components (the hot path's derivation) — rejecting
   // the file if they ever disagree: the gate that proves hashed and legacy
-  // lookups stay interchangeable. A record under a wildcard, canonical or
-  // trace key loads trial-insensitive (Insert writes those keys only for
-  // such runs), so a warm start asks the cache no more than a cold campaign
-  // does; an exact-key record loads trial-sensitive. Stats are not
-  // persisted. Both return false on I/O or parse failure; a failed load
+  // lookups stay interchangeable. A record under a wildcard or trace key
+  // loads trial-insensitive (Insert writes those keys only for such runs),
+  // so a warm start asks the cache no more than a cold campaign does; an
+  // exact-key record loads trial-sensitive. Records under the retired
+  // canonical-fingerprint tag ("C\x1f"), which older files carry, are
+  // skipped: each such entry is stored under its trace key too. Stats are
+  // not persisted. Both return false on I/O or parse failure; a failed load
   // leaves the cache empty — never half-loaded, never throwing — logs a
   // warning, and increments Stats::load_failures (except for a missing
   // file, which is the normal cold-start case). A warm start is an
@@ -288,8 +269,6 @@ class RunCache {
                               uint64_t trial);
   static std::string WildcardKey(const std::string& test_id,
                                  const std::string& plan_text);
-  static std::string CanonicalKey(const std::string& test_id,
-                                  const std::string& canonical_fingerprint);
   static std::string TraceKey(const std::string& test_id, const std::string& trace);
 
   // Component-folded digests of exactly the strings above, no allocation.
@@ -297,8 +276,6 @@ class RunCache {
                                const std::string& plan_text, uint64_t trial);
   static Digest128 WildcardRunKey(const std::string& test_id,
                                   const std::string& plan_text);
-  static Digest128 CanonicalRunKey(const std::string& test_id,
-                                   const std::string& canonical_fingerprint);
   static Digest128 TraceRunKey(const std::string& test_id,
                                const std::string& trace);
 
@@ -309,7 +286,7 @@ class RunCache {
 
  private:
   // One stored execution, shared by every key alias pointing at it (exact,
-  // wildcard, canonical, trace): inserting under four keys costs one payload
+  // wildcard, trace): inserting under three keys costs one payload
   // allocation, and LookupShared serves by refcount bump instead of deep
   // copy. Immutable once inserted — that immutability is what makes sharing
   // across worker threads, and matching outside the lock, safe.

@@ -25,7 +25,7 @@ struct TestResult {
   // does, as does the run cache's trial-wildcard key). True by default, so a
   // result no execution produced in this process is not reused across trials
   // unless its origin proves it may be: a cache file's record under a
-  // wildcard, canonical or trace key loads false (see RunCache::LoadFromFile).
+  // wildcard or trace key loads false (see RunCache::LoadFromFile).
   bool trial_sensitive = true;
   std::string failure;    // first failure message (empty when passed)
   SessionReport report;   // what ConfAgent observed (see the entry points)

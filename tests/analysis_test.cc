@@ -4,10 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/analysis/flow_graph.h"
 #include "src/analysis/read_site_extractor.h"
 #include "src/analysis/source_lexer.h"
 #include "src/analysis/static_prior.h"
-#include "src/analysis/taint_pass.h"
 #include "src/conf/conf_schema.h"
 
 namespace zebra {
@@ -226,7 +226,9 @@ TEST(ReadSiteExtractor, TracksConstructorBracketsAndStatements) {
 
 // ----------------------------------------------------------------- taint ---
 
-TaintReport TaintOf(const char* extra_source) {
+// The flow graph's wire-taint verdicts (rules R1-R3, flow_graph.h) over the
+// fixture program plus `extra_source`.
+FlowGraph TaintOf(const char* extra_source) {
   ProgramModel program;
   program.Merge(ExtractTu("src/apps/fix/fix_params.h", kParamsHeader));
   program.Merge(ExtractTu("src/apps/fix/fix_node.cc", kNodeSource));
@@ -234,33 +236,38 @@ TaintReport TaintOf(const char* extra_source) {
     program.Merge(ExtractTu("src/apps/fix/fix_extra.cc", extra_source));
   }
   program.Resolve();
-  return RunTaintPass(program);
+  return BuildFlowGraph(BuildProgramFacts(program));
 }
 
-TEST(TaintPass, WirePrimitiveCoOccurrenceTaints) {
-  TaintReport report = TaintOf(nullptr);
+bool IsWireTainted(const FlowGraph& graph, const std::string& param) {
+  auto it = graph.params.find(param);
+  return it != graph.params.end() && it->second.wire_tainted;
+}
+
+TEST(FlowGraphTaint, WirePrimitiveCoOccurrenceTaints) {
+  FlowGraph graph = TaintOf(nullptr);
   // R1a via local: encrypt flows into EncodeFrame in the same function.
-  EXPECT_TRUE(report.IsWireTainted("fix.encrypt.transfer"));
+  EXPECT_TRUE(IsWireTainted(graph, "fix.encrypt.transfer"));
 }
 
-TEST(TaintPass, CrossNodeCallTaints) {
+TEST(FlowGraphTaint, CrossNodeCallTaints) {
   // `master` is declared FixMaster* in the parameter list; FixMaster must be
   // a node class for the call to count, so bracket it in the fixture.
-  TaintReport report = TaintOf(R"(
+  FlowGraph graph = TaintOf(R"(
 FixMaster::FixMaster(Cluster* cluster)
     : init_scope_(kFixApp, this, "FixMaster", __FILE__, __LINE__) {}
 )");
-  EXPECT_TRUE(report.IsWireTainted("fix.heartbeat.interval"));
+  EXPECT_TRUE(IsWireTainted(graph, "fix.heartbeat.interval"));
 }
 
-TEST(TaintPass, BareReadsStayNodeLocal) {
-  TaintReport report = TaintOf(nullptr);
-  EXPECT_FALSE(report.IsWireTainted("fix.handler.count"));
-  EXPECT_FALSE(report.IsWireTainted("fix.data.dir"));
+TEST(FlowGraphTaint, BareReadsStayNodeLocal) {
+  FlowGraph graph = TaintOf(nullptr);
+  EXPECT_FALSE(IsWireTainted(graph, "fix.handler.count"));
+  EXPECT_FALSE(IsWireTainted(graph, "fix.data.dir"));
 }
 
-TEST(TaintPass, ProtocolThrowWithControlDependenceTaints) {
-  TaintReport report = TaintOf(R"(
+TEST(FlowGraphTaint, ProtocolThrowWithControlDependenceTaints) {
+  FlowGraph graph = TaintOf(R"(
 void FixNode::Create(const std::string& name) {
   const int limit = conf().GetInt(kFixHandlers, 10);
   if (static_cast<int>(name.size()) > limit) {
@@ -270,25 +277,25 @@ void FixNode::Create(const std::string& name) {
 )");
   // The guard reads a local assigned from the parameter; the throw is inside
   // the same ';'-delimited statement as the if-header.
-  EXPECT_TRUE(report.IsWireTainted("fix.handler.count"));
+  EXPECT_TRUE(IsWireTainted(graph, "fix.handler.count"));
 }
 
-TEST(TaintPass, ReadInsideProtocolSurfaceTaints) {
+TEST(FlowGraphTaint, ReadInsideProtocolSurfaceTaints) {
   // FixNode::Encode is not name-matched, but once another node calls it
   // cross-node it becomes a protocol surface; reads inside it taint (R2).
-  TaintReport report = TaintOf(R"(
+  FlowGraph graph = TaintOf(R"(
 FixMaster::FixMaster(Cluster* cluster)
     : init_scope_(kFixApp, this, "FixMaster", __FILE__, __LINE__) {}
 void FixMaster::Pull(FixNode* source) {
   source->Encode(Bytes{});
 }
 )");
-  ASSERT_TRUE(report.protocol_surfaces.count("FixNode::Encode"));
-  EXPECT_TRUE(report.IsWireTainted("fix.encrypt.transfer"));
+  ASSERT_TRUE(graph.protocol_surfaces.count("FixNode::Encode"));
+  EXPECT_TRUE(IsWireTainted(graph, "fix.encrypt.transfer"));
 }
 
-TEST(TaintPass, HelperReadPropagatesIntoSinkStatement) {
-  TaintReport report = TaintOf(R"(
+TEST(FlowGraphTaint, HelperReadPropagatesIntoSinkStatement) {
+  FlowGraph graph = TaintOf(R"(
 WireConfig FixWire(const Configuration& conf) {
   WireConfig wire;
   wire.compress = conf.Get(kFixDataDir, "none");
@@ -300,7 +307,7 @@ void FixNode::Push(const Bytes& payload) {
 )");
   // R3: the helper's direct read feeds a statement containing a wire
   // primitive.
-  EXPECT_TRUE(report.IsWireTainted("fix.data.dir"));
+  EXPECT_TRUE(IsWireTainted(graph, "fix.data.dir"));
 }
 
 // ----------------------------------------------------------------- drift ---

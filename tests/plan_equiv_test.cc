@@ -1,7 +1,7 @@
-// Tests for the observational-equivalence layer (plan_equiv.h): plan
-// canonicalization against a pre-run read surface, trace prediction, and the
-// restriction-matching soundness check. The edge cases here are exactly the
-// ones where collapsing would be unsound — each must stay distinct.
+// Tests for the observational-equivalence layer (plan_equiv.h): trace
+// prediction against a pre-run read surface, and the restriction-matching
+// soundness check. The edge cases here are exactly the ones where collapsing
+// would be unsound — each must stay distinct.
 
 #include "src/conf/plan_equiv.h"
 
@@ -32,6 +32,12 @@ SessionReport PrerunReading(const std::string& param) {
   return prerun;
 }
 
+std::string Predict(const ReadSurface& surface, const TestPlan& plan) {
+  std::string trace;
+  surface.PredictTrace(plan, &trace);
+  return trace;
+}
+
 std::string Join(std::initializer_list<std::string> elements) {
   std::string text;
   for (const std::string& element : elements) {
@@ -43,7 +49,7 @@ std::string Join(std::initializer_list<std::string> elements) {
   return text;
 }
 
-TEST(PlanEquivTest, UnreadOverrideEntryDropped) {
+TEST(PlanEquivTest, UnreadEntryLeavesThePrediction) {
   ReadSurface surface(PrerunReading("a.read"));
   ASSERT_TRUE(surface.usable());
 
@@ -51,36 +57,28 @@ TEST(PlanEquivTest, UnreadOverrideEntryDropped) {
   plan.Add(
       PlanFor("b.unread", ValueAssigner::UniformGroup("Server", "1", "0")).params()[0]);
 
-  CanonicalPlan canonical = surface.Canonicalize(plan);
-  EXPECT_TRUE(canonical.changed);
-  EXPECT_EQ(canonical.dropped_entries, 1);
-  // The canonical fingerprint is the single-entry plan's own fingerprint.
+  // The pooled plan predicts exactly the single-entry plan's trace.
   TestPlan kept = PlanFor("a.read", ValueAssigner::UniformGroup("Server", "7", "3"));
-  EXPECT_EQ(canonical.fingerprint, kept.Fingerprint());
+  ASSERT_NE(plan.Fingerprint(), kept.Fingerprint());
+  EXPECT_EQ(Predict(surface, plan), Predict(surface, kept));
 }
 
-TEST(PlanEquivTest, FullyUnreadPlanCollapsesToBaseline) {
+TEST(PlanEquivTest, FullyUnreadPlanPredictsTheBaseline) {
   ReadSurface surface(PrerunReading("a.read"));
   TestPlan plan = PlanFor("b.unread", ValueAssigner::UniformGroup("Server", "1", "0"));
 
-  CanonicalPlan canonical = surface.Canonicalize(plan);
-  EXPECT_TRUE(canonical.changed);
-  EXPECT_EQ(canonical.dropped_entries, 1);
-  // Collapses to the homogeneous baseline: the empty plan's fingerprint.
-  EXPECT_EQ(canonical.fingerprint, TestPlan{}.Fingerprint());
+  // The homogeneous baseline (empty plan) makes the same observations.
+  EXPECT_EQ(Predict(surface, plan), Predict(surface, TestPlan{}));
 }
 
-TEST(PlanEquivTest, UnreadDependencyOverrideDroppedEntryKept) {
+TEST(PlanEquivTest, UnreadDependencyOverrideLeavesThePrediction) {
   ReadSurface surface(PrerunReading("a.read"));
   TestPlan plan = PlanFor("a.read", ValueAssigner::UniformGroup("Server", "7", "3"));
   plan.mutable_params()[0].extra_overrides.emplace_back("b.unread", "off");
 
-  CanonicalPlan canonical = surface.Canonicalize(plan);
-  EXPECT_TRUE(canonical.changed);
-  EXPECT_EQ(canonical.dropped_entries, 0);
-  EXPECT_EQ(canonical.dropped_overrides, 1);
   TestPlan kept = PlanFor("a.read", ValueAssigner::UniformGroup("Server", "7", "3"));
-  EXPECT_EQ(canonical.fingerprint, kept.Fingerprint());
+  ASSERT_NE(plan.Fingerprint(), kept.Fingerprint());
+  EXPECT_EQ(Predict(surface, plan), Predict(surface, kept));
 }
 
 TEST(PlanEquivTest, EntryOrderDoesNotSplitEquivalenceClasses) {
@@ -97,8 +95,7 @@ TEST(PlanEquivTest, EntryOrderDoesNotSplitEquivalenceClasses) {
   reversed.Add(forward.params()[0]);
   ASSERT_NE(forward.Fingerprint(), reversed.Fingerprint());
 
-  EXPECT_EQ(surface.Canonicalize(forward).fingerprint,
-            surface.Canonicalize(reversed).fingerprint);
+  EXPECT_EQ(Predict(surface, forward), Predict(surface, reversed));
 }
 
 TEST(PlanEquivTest, HasOnlyParamIsNeverCollapsed) {
@@ -114,13 +111,9 @@ TEST(PlanEquivTest, HasOnlyParamIsNeverCollapsed) {
   TestPlan assign_on = PlanFor("p.flag", ValueAssigner::UniformGroup("Server", "on", "off"));
   TestPlan assign_off = PlanFor("p.flag", ValueAssigner::UniformGroup("Server", "off", "on"));
 
-  // Canonicalization must keep the entry: the parameter *was* observed.
-  EXPECT_FALSE(surface.Canonicalize(assign_on).changed);
-
-  std::string baseline_trace, on_trace, off_trace;
-  ASSERT_TRUE(surface.PredictTrace(TestPlan{}, &baseline_trace));
-  ASSERT_TRUE(surface.PredictTrace(assign_on, &on_trace));
-  ASSERT_TRUE(surface.PredictTrace(assign_off, &off_trace));
+  const std::string baseline_trace = Predict(surface, TestPlan{});
+  const std::string on_trace = Predict(surface, assign_on);
+  const std::string off_trace = Predict(surface, assign_off);
   EXPECT_NE(on_trace, baseline_trace);
   EXPECT_NE(off_trace, baseline_trace);
   EXPECT_NE(on_trace, off_trace);
@@ -161,15 +154,13 @@ TEST(PlanEquivTest, SubComponentCloneReadKeepsParamObserved) {
   ASSERT_TRUE(surface.usable());
   TestPlan plan =
       PlanFor("component.only.param", ValueAssigner::UniformGroup("Server", "7", "3"));
-  CanonicalPlan canonical = surface.Canonicalize(plan);
-  EXPECT_FALSE(canonical.changed);
-  EXPECT_EQ(canonical.dropped_entries, 0);
 
-  // And the prediction serves the plan's value at the clone's read site.
-  std::string trace;
-  ASSERT_TRUE(surface.PredictTrace(plan, &trace));
+  // The prediction serves the plan's value at the clone's read site, so the
+  // plan never aliases the baseline.
   std::string assigned = "7";
-  EXPECT_EQ(trace, TraceReadElement("Server", 0, "component.only.param", &assigned));
+  EXPECT_EQ(Predict(surface, plan),
+            TraceReadElement("Server", 0, "component.only.param", &assigned));
+  EXPECT_NE(Predict(surface, plan), Predict(surface, TestPlan{}));
 }
 
 TEST(PlanEquivTest, UncertainReadsArePlanInvariant) {
@@ -181,9 +172,8 @@ TEST(PlanEquivTest, UncertainReadsArePlanInvariant) {
   // A plan targeting the uncertain parameter cannot reach it (uncertain confs
   // never receive overrides), so its predicted trace keeps the bare marker.
   TestPlan plan = PlanFor("u.param", ValueAssigner::UniformGroup("Server", "7", "3"));
-  std::string trace;
-  ASSERT_TRUE(surface.PredictTrace(plan, &trace));
-  EXPECT_NE(trace.find(TraceUncertainElement("u.param")), std::string::npos);
+  EXPECT_NE(Predict(surface, plan).find(TraceUncertainElement("u.param")),
+            std::string::npos);
   EXPECT_TRUE(PlanMatchesElement(plan, TraceUncertainElement("u.param")));
 }
 
@@ -226,9 +216,9 @@ TEST(PlanEquivTest, RejectsUnparseableElement) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden renderings of the equivalence keys. The canonical fingerprint and the
-// predicted trace are digested into run-cache keys and persisted (legacy
-// string form) in cache files, so their bytes must not drift. The surface
+// Golden renderings of the equivalence keys. The predicted trace is digested
+// into a run-cache key and persisted (legacy string form) in cache files, so
+// its bytes must not drift. The surface
 // covers every element kind and node indices 9 and 10, which sort as strings
 // ("#10" before "#9"); "#09" re-renders as "#9" and exercises the dedup.
 // ---------------------------------------------------------------------------
@@ -246,7 +236,7 @@ SessionReport GoldenPrerun() {
   return prerun;
 }
 
-// Out of canonical order, with one unread entry and one unread dependency
+// Out of name order, with one unread entry and one unread dependency
 // override, one entry per assigner strategy.
 TestPlan GoldenPooledPlan() {
   TestPlan plan;
@@ -271,33 +261,9 @@ TestPlan GoldenPooledPlan() {
   return plan;
 }
 
-TEST(PlanEquivGoldenTest, CanonicalFingerprint) {
-  ReadSurface surface(GoldenPrerun());
-  CanonicalPlan canonical = surface.Canonicalize(GoldenPooledPlan());
-  EXPECT_EQ(canonical.fingerprint,
-            "h.has{uniform-group NameNode=1 others=2}, "
-            "p.read{round-robin-group DataNode=even others=odd}[dep.read=on], "
-            "q.read{homogeneous v}");
-  EXPECT_TRUE(canonical.changed);
-  EXPECT_EQ(canonical.dropped_entries, 1);
-  EXPECT_EQ(canonical.dropped_overrides, 1);
-
-  CanonicalPlan baseline = surface.Canonicalize(TestPlan{});
-  EXPECT_EQ(baseline.fingerprint, "");
-  EXPECT_FALSE(baseline.changed);
-
-  // Already canonical: unchanged, byte-identical to the plan's fingerprint.
-  TestPlan single = PlanFor("q.read", ValueAssigner::Homogeneous("v"));
-  CanonicalPlan same = surface.Canonicalize(single);
-  EXPECT_EQ(same.fingerprint, "q.read{homogeneous v}");
-  EXPECT_FALSE(same.changed);
-}
-
 TEST(PlanEquivGoldenTest, PredictedTrace) {
   ReadSurface surface(GoldenPrerun());
-  std::string trace;
-  ASSERT_TRUE(surface.PredictTrace(GoldenPooledPlan(), &trace));
-  EXPECT_EQ(trace,
+  EXPECT_EQ(Predict(surface, GoldenPooledPlan()),
             "@h:NameNode#0:h.has=1\x1e"
             "@u:u.param\x1e"
             "Client#0:q.read=v\x1e"
@@ -306,8 +272,7 @@ TEST(PlanEquivGoldenTest, PredictedTrace) {
             "DataNode#9:p.read=odd\x1e"
             "NameNode#0:dep.read=on");
 
-  ASSERT_TRUE(surface.PredictTrace(TestPlan{}, &trace));
-  EXPECT_EQ(trace,
+  EXPECT_EQ(Predict(surface, TestPlan{}),
             "@h:NameNode#0:h.has!\x1e"
             "@u:u.param\x1e"
             "Client#0:q.read!\x1e"

@@ -6,6 +6,7 @@
 
 #include "src/common/error.h"
 #include "src/common/strings.h"
+#include "src/conf/conf_file.h"
 
 namespace zebra {
 namespace {
@@ -109,6 +110,42 @@ TEST(ReportIoTest, OldSerializationsDefaultAfterStaticToOriginal) {
   }
   CampaignReport restored = DeserializeReport(filtered);
   EXPECT_EQ(restored.per_app.at("minikv").after_static, 5000);
+}
+
+TEST(ReportIoTest, UnitResultWithRetiredCacheKeysParsesAndDropsThem) {
+  // Unit results (journal and fabric result records) used to carry six
+  // per-unit cache counters, always 0: only the cache's owner knows its
+  // totals. A journal written then still resumes: the keys parse as unknown
+  // ones and do not survive re-serialization.
+  UnitWorkResult unit;
+  unit.app = "minikv";
+  unit.test_id = "minikv.TestA";
+  unit.prerun_executions = 1;
+  unit.after_prerun = 4;
+  unit.after_uncertainty = 3;
+  unit.executed_runs = 12;
+  unit.runs_to_first_confirmation = 5;
+  unit.params_tested = {"minikv.some.param"};
+  unit.confirmations.push_back(UnitConfirmation{"minikv.some.param", 5.4e-5, "boom"});
+  unit.run_durations = {0.001, 0.002};
+  const std::string current = SerializeUnitResult(3, unit);
+
+  const char* const kRetiredKeys[] = {"cache_hits",          "cache_misses",
+                                      "equiv_hits",          "canonicalized_plans",
+                                      "mispredictions",      "cache_evictions"};
+  std::map<std::string, std::string> properties = ParseProperties(current);
+  for (const char* key : kRetiredKeys) {
+    properties.emplace(key, "0");
+  }
+  size_t index = 0;
+  UnitWorkResult parsed;
+  ASSERT_TRUE(ParseUnitResult(RenderProperties(properties), &index, &parsed));
+  EXPECT_EQ(index, 3u);
+  const std::string again = SerializeUnitResult(index, parsed);
+  EXPECT_EQ(again, current);
+  for (const char* key : kRetiredKeys) {
+    EXPECT_EQ(again.find(key), std::string::npos) << key;
+  }
 }
 
 }  // namespace

@@ -26,6 +26,24 @@ TestResult MakeResult(bool passed, const std::string& failure) {
   return result;
 }
 
+std::string Join(std::initializer_list<std::string> elements) {
+  std::string text;
+  for (const std::string& element : elements) {
+    if (!text.empty()) {
+      text += '\x1e';
+    }
+    text += element;
+  }
+  return text;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
 TestPlan SingleParamPlan(const std::string& param, const std::string& value) {
   TestPlan plan;
   ParamPlan p;
@@ -37,20 +55,21 @@ TestPlan SingleParamPlan(const std::string& param, const std::string& value) {
 
 TEST(RunCacheTest, ExactKeyRoundTrip) {
   RunCache cache;
-  EXPECT_EQ(cache.Lookup("app.Test", "plan-a", 0), nullptr);
+  EXPECT_EQ(cache.LookupShared("app.Test", "plan-a", 0), nullptr);
   cache.Insert("app.Test", "plan-a", 0, /*trial_insensitive=*/false,
                MakeResult(false, "boom"));
 
-  const TestResult* hit = cache.Lookup("app.Test", "plan-a", 0);
+  std::shared_ptr<const TestResult> hit =
+      cache.LookupShared("app.Test", "plan-a", 0);
   ASSERT_NE(hit, nullptr);
   EXPECT_FALSE(hit->passed);
   EXPECT_EQ(hit->failure, "boom");
 
   // A trial-sensitive entry must NOT serve other trials.
-  EXPECT_EQ(cache.Lookup("app.Test", "plan-a", 1), nullptr);
+  EXPECT_EQ(cache.LookupShared("app.Test", "plan-a", 1), nullptr);
   // Nor other plans or tests.
-  EXPECT_EQ(cache.Lookup("app.Test", "plan-b", 0), nullptr);
-  EXPECT_EQ(cache.Lookup("app.Other", "plan-a", 0), nullptr);
+  EXPECT_EQ(cache.LookupShared("app.Test", "plan-b", 0), nullptr);
+  EXPECT_EQ(cache.LookupShared("app.Other", "plan-a", 0), nullptr);
 
   EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_EQ(cache.stats().misses, 4);
@@ -61,7 +80,8 @@ TEST(RunCacheTest, TrialInsensitiveEntryServesEveryTrial) {
   cache.Insert("app.Test", "plan", 7, /*trial_insensitive=*/true,
                MakeResult(true, ""));
   for (uint64_t trial : {0u, 1u, 7u, 42u}) {
-    const TestResult* hit = cache.Lookup("app.Test", "plan", trial);
+    std::shared_ptr<const TestResult> hit =
+        cache.LookupShared("app.Test", "plan", trial);
     ASSERT_NE(hit, nullptr) << trial;
     EXPECT_TRUE(hit->passed);
   }
@@ -72,15 +92,15 @@ TEST(RunCacheTest, KeysAreNotAmbiguous) {
   // The separator must prevent (id, plan) concatenation collisions.
   RunCache cache;
   cache.Insert("a", "b.plan", 0, /*trial_insensitive=*/true, MakeResult(true, ""));
-  EXPECT_EQ(cache.Lookup("a.b", "plan", 0), nullptr);
-  EXPECT_EQ(cache.Lookup("a", "b.plan.extra", 0), nullptr);
+  EXPECT_EQ(cache.LookupShared("a.b", "plan", 0), nullptr);
+  EXPECT_EQ(cache.LookupShared("a", "b.plan.extra", 0), nullptr);
 }
 
 TEST(RunCacheTest, HashedKeysMatchLegacyDigestsOverFullCorpus) {
   // The hot path folds key components into a 128-bit digest without ever
   // building the legacy concatenated string; this proves the fold is
   // byte-for-byte the digest of that string for every unit test in the full
-  // corpus, every plan the schema can produce for it, and all four key
+  // corpus, every plan the schema can produce for it, and all three key
   // shapes. FNV chains over concatenation, so equality here means hashed
   // and legacy lookups are interchangeable everywhere.
   size_t checked = 0;
@@ -96,8 +116,6 @@ TEST(RunCacheTest, HashedKeysMatchLegacyDigestsOverFullCorpus) {
       }
       EXPECT_EQ(RunCache::WildcardRunKey(test->id, plan_text),
                 HashFnv128(RunCache::WildcardKey(test->id, plan_text)));
-      EXPECT_EQ(RunCache::CanonicalRunKey(test->id, plan_text),
-                HashFnv128(RunCache::CanonicalKey(test->id, plan_text)));
       EXPECT_EQ(RunCache::TraceRunKey(test->id, "get:" + param.name),
                 HashFnv128(RunCache::TraceKey(test->id, "get:" + param.name)));
 
@@ -144,9 +162,9 @@ TEST(RunCacheTest, ForcedCollisionIsRejectedNeverServedWrong) {
 
 TEST(RunCacheTest, StatsTrackEntriesAndHitRate) {
   RunCache cache;
-  cache.Lookup("x", "p", 0);  // miss
+  cache.LookupShared("x", "p", 0);  // miss
   cache.Insert("x", "p", 0, /*trial_insensitive=*/false, MakeResult(true, ""));
-  cache.Lookup("x", "p", 0);  // hit
+  cache.LookupShared("x", "p", 0);  // hit
   EXPECT_EQ(cache.stats().entries, 1);
   EXPECT_DOUBLE_EQ(cache.stats().HitRate(), 0.5);
 }
@@ -206,8 +224,8 @@ TEST(RunCacheTest, CampaignResultsIdenticalWithCacheEnabled) {
 }
 
 TEST(RunCacheTest, WarmStartAsksExactlyTheColdLookups) {
-  // Insert stores a run under its wildcard, canonical and trace keys only
-  // when the run never consulted its trial, so a result loaded from one of
+  // Insert stores a run under its wildcard and trace keys only when the run
+  // never consulted its trial, so a result loaded from one of
   // those records is trial-insensitive: the verifier answers the later
   // trials of its plan itself, as it does in the cold campaign, instead of
   // asking the cache for each.
@@ -260,7 +278,7 @@ TEST(RunCacheTest, EquivLayerServesAcrossPlansAndSurvivesRoundTrip) {
   RunQuery baseline_query;
   baseline_query.surface = &surface;
   baseline_query.plan = &baseline;
-  EXPECT_EQ(cache.Lookup("t", baseline_fp, 0, &baseline_query), nullptr);
+  EXPECT_EQ(cache.LookupShared("t", baseline_fp, 0, &baseline_query), nullptr);
   cache.Insert("t", baseline_fp, 0, /*trial_insensitive=*/true,
                MakeResult(true, ""), &baseline_query, observed);
 
@@ -270,11 +288,11 @@ TEST(RunCacheTest, EquivLayerServesAcrossPlansAndSurvivesRoundTrip) {
   RunQuery unread_query;
   unread_query.surface = &surface;
   unread_query.plan = &unread;
-  const TestResult* hit = cache.Lookup("t", unread.Fingerprint(), 5, &unread_query);
+  std::shared_ptr<const TestResult> hit =
+      cache.LookupShared("t", unread.Fingerprint(), 5, &unread_query);
   ASSERT_NE(hit, nullptr);
   EXPECT_TRUE(hit->passed);
   EXPECT_EQ(cache.stats().equiv_hits, 1);
-  EXPECT_GT(cache.stats().canonicalized_plans, 0);
   EXPECT_EQ(cache.stats().mispredictions, 0);
 
   // ...while a plan that overrides the promised read is a different
@@ -283,7 +301,8 @@ TEST(RunCacheTest, EquivLayerServesAcrossPlansAndSurvivesRoundTrip) {
   RunQuery divergent_query;
   divergent_query.surface = &surface;
   divergent_query.plan = &divergent;
-  EXPECT_EQ(cache.Lookup("t", divergent.Fingerprint(), 0, &divergent_query), nullptr);
+  EXPECT_EQ(cache.LookupShared("t", divergent.Fingerprint(), 0, &divergent_query),
+            nullptr);
 
   // Persistence round-trips the equivalence indexes: after save + load into
   // a fresh cache, the cross-plan serve still works.
@@ -294,11 +313,13 @@ TEST(RunCacheTest, EquivLayerServesAcrossPlansAndSurvivesRoundTrip) {
   EXPECT_EQ(reloaded.stats().entries, cache.stats().entries);
   std::remove(path.c_str());
 
-  ASSERT_NE(reloaded.Lookup("t", baseline_fp, 3, nullptr), nullptr);  // wildcard
+  ASSERT_NE(reloaded.LookupShared("t", baseline_fp, 3, nullptr),
+            nullptr);  // wildcard
   RunQuery reloaded_query;
   reloaded_query.surface = &surface;
   reloaded_query.plan = &unread;
-  ASSERT_NE(reloaded.Lookup("t", unread.Fingerprint(), 5, &reloaded_query), nullptr);
+  ASSERT_NE(reloaded.LookupShared("t", unread.Fingerprint(), 5, &reloaded_query),
+            nullptr);
   EXPECT_EQ(reloaded.stats().equiv_hits, 1);
 }
 
@@ -318,7 +339,7 @@ TEST(RunCacheTest, EquivLayerServesEarlyStoppedRestriction) {
   RunQuery first_query;
   first_query.surface = &surface;
   first_query.plan = &first;
-  EXPECT_EQ(cache.Lookup("t", first.Fingerprint(), 0, &first_query), nullptr);
+  EXPECT_EQ(cache.LookupShared("t", first.Fingerprint(), 0, &first_query), nullptr);
   // Observed != predicted (the run never reached b.read): counted as a
   // misprediction at insert, indexed by its truthful observed trace anyway.
   cache.Insert("t", first.Fingerprint(), 0, /*trial_insensitive=*/true,
@@ -332,7 +353,8 @@ TEST(RunCacheTest, EquivLayerServesEarlyStoppedRestriction) {
   RunQuery pooled_query;
   pooled_query.surface = &surface;
   pooled_query.plan = &pooled;
-  const TestResult* hit = cache.Lookup("t", pooled.Fingerprint(), 9, &pooled_query);
+  std::shared_ptr<const TestResult> hit =
+      cache.LookupShared("t", pooled.Fingerprint(), 9, &pooled_query);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->failure, "died at a.read");
   EXPECT_EQ(cache.stats().equiv_hits, 1);
@@ -342,12 +364,13 @@ TEST(RunCacheTest, EquivLayerServesEarlyStoppedRestriction) {
   RunQuery different_query;
   different_query.surface = &surface;
   different_query.plan = &different;
-  EXPECT_EQ(cache.Lookup("t", different.Fingerprint(), 0, &different_query), nullptr);
+  EXPECT_EQ(cache.LookupShared("t", different.Fingerprint(), 0, &different_query),
+            nullptr);
 
   // Restriction matching is the one equivalence path with out-of-band state
   // (the per-test trace registry); a reloaded cache must rebuild it. The
-  // canonical index was skipped for this entry (misprediction), so this
-  // serve can only come from the rebuilt registry.
+  // entry's trace key is its truncated trace, which no full prediction
+  // equals, so this serve can only come from the rebuilt registry.
   const std::string path = ::testing::TempDir() + "/run_cache_restriction.zc";
   ASSERT_TRUE(cache.SaveToFile(path));
   RunCache reloaded;
@@ -356,10 +379,60 @@ TEST(RunCacheTest, EquivLayerServesEarlyStoppedRestriction) {
   RunQuery reloaded_query;
   reloaded_query.surface = &surface;
   reloaded_query.plan = &pooled;
-  const TestResult* reloaded_hit =
-      reloaded.Lookup("t", pooled.Fingerprint(), 9, &reloaded_query);
+  std::shared_ptr<const TestResult> reloaded_hit =
+      reloaded.LookupShared("t", pooled.Fingerprint(), 9, &reloaded_query);
   ASSERT_NE(reloaded_hit, nullptr);
   EXPECT_EQ(reloaded_hit->failure, "died at a.read");
+}
+
+TEST(RunCacheTest, RetiredCanonicalRecordsAreSkippedAtLoad) {
+  // Cache files written while the canonical-fingerprint index existed carry,
+  // beside a trace-indexed run, a record under "C\x1f" + test id + '\x1f' +
+  // canonical fingerprint + "\x1f*". Such a file still loads (the format is
+  // unchanged), the run is served through its trace key, and saving drops
+  // the canonical record instead of carrying it forever.
+  SessionReport prerun;
+  prerun.trace_elements.insert(TraceReadElement("Server", 0, "a.read", nullptr));
+  prerun.trace_elements.insert(TraceReadElement("Server", 0, "b.read", nullptr));
+  ReadSurface surface(prerun);
+
+  std::string assigned = "7";
+  const TestPlan plan = SingleParamPlan("a.read", assigned);
+  const TestResult result = MakeResult(false, "a.read=7 fails");
+  RunCache cache;
+  cache.Insert("t", plan.Fingerprint(), 0, /*trial_insensitive=*/true, result,
+               nullptr,
+               Join({TraceReadElement("Server", 0, "a.read", &assigned),
+                     TraceReadElement("Server", 0, "b.read", nullptr)}));
+  const std::string canonical_key =
+      std::string("C\x1f") + "t" + '\x1f' + plan.Fingerprint() + "\x1f*";
+  ASSERT_TRUE(
+      cache.InsertAliasForTesting(HashFnv128(canonical_key), canonical_key, result));
+  const std::string path = ::testing::TempDir() + "/run_cache_canonical.zc";
+  ASSERT_TRUE(cache.SaveToFile(path));
+  ASSERT_NE(ReadFile(path).find("K C\x1f"), std::string::npos);
+
+  RunCache reloaded;
+  ASSERT_TRUE(reloaded.LoadFromFile(path));
+  EXPECT_EQ(reloaded.stats().load_failures, 0);
+  EXPECT_EQ(reloaded.stats().entries, cache.stats().entries - 1);
+
+  // Pooled with an unread parameter, the plan predicts the stored run's
+  // trace exactly: a full-trace-key hit.
+  TestPlan pooled = SingleParamPlan("a.read", assigned);
+  pooled.Add(SingleParamPlan("c.unread", "1").params()[0]);
+  RunQuery query;
+  query.surface = &surface;
+  query.plan = &pooled;
+  std::shared_ptr<const TestResult> hit =
+      reloaded.LookupShared("t", pooled.Fingerprint(), 3, &query);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->failure, "a.read=7 fails");
+  EXPECT_EQ(reloaded.stats().equiv_hits, 1);
+
+  ASSERT_TRUE(reloaded.SaveToFile(path));
+  EXPECT_EQ(ReadFile(path).find("C\x1f"), std::string::npos);
+  std::remove(path.c_str());
 }
 
 TEST(RunCacheTest, ReloadedRestrictionMatchingScansTheNewestCandidates) {
@@ -392,7 +465,8 @@ TEST(RunCacheTest, ReloadedRestrictionMatchingScansTheNewestCandidates) {
     RunQuery query;
     query.surface = &surface;
     query.plan = &pooled;
-    const TestResult* hit = serving->Lookup("t", pooled.Fingerprint(), 0, &query);
+    std::shared_ptr<const TestResult> hit =
+        serving->LookupShared("t", pooled.Fingerprint(), 0, &query);
     ASSERT_NE(hit, nullptr) << (serving == &cache ? "live" : "reloaded");
     EXPECT_EQ(hit->failure, "died at a.read=match");
     EXPECT_EQ(serving->stats().equiv_hits, 1);
@@ -412,7 +486,7 @@ TEST(RunCacheTest, TrialSensitiveRunsAreNeverSharedAcrossPlans) {
   RunQuery query;
   query.surface = &surface;
   query.plan = &baseline;
-  EXPECT_EQ(cache.Lookup("t", baseline.Fingerprint(), 0, &query), nullptr);
+  EXPECT_EQ(cache.LookupShared("t", baseline.Fingerprint(), 0, &query), nullptr);
   cache.Insert("t", baseline.Fingerprint(), 0, /*trial_insensitive=*/false,
                MakeResult(true, ""), &query, observed);
 
@@ -420,8 +494,9 @@ TEST(RunCacheTest, TrialSensitiveRunsAreNeverSharedAcrossPlans) {
   RunQuery unread_query;
   unread_query.surface = &surface;
   unread_query.plan = &unread;
-  EXPECT_EQ(cache.Lookup("t", unread.Fingerprint(), 0, &unread_query), nullptr);
-  EXPECT_EQ(cache.Lookup("t", baseline.Fingerprint(), 1, nullptr), nullptr);
+  EXPECT_EQ(cache.LookupShared("t", unread.Fingerprint(), 0, &unread_query),
+            nullptr);
+  EXPECT_EQ(cache.LookupShared("t", baseline.Fingerprint(), 1, nullptr), nullptr);
   EXPECT_EQ(cache.stats().equiv_hits, 0);
 }
 
@@ -429,14 +504,14 @@ TEST(RunCacheTest, LruBudgetEvictsOldestAndCounts) {
   RunCache cache(RunCache::Limits{/*max_entries=*/2, /*max_bytes=*/0});
   cache.Insert("t", "p1", 0, /*trial_insensitive=*/false, MakeResult(true, ""));
   cache.Insert("t", "p2", 0, /*trial_insensitive=*/false, MakeResult(true, ""));
-  ASSERT_NE(cache.Lookup("t", "p1", 0), nullptr);  // p1 now most recent
+  ASSERT_NE(cache.LookupShared("t", "p1", 0), nullptr);  // p1 now most recent
   cache.Insert("t", "p3", 0, /*trial_insensitive=*/false, MakeResult(true, ""));
 
   EXPECT_EQ(cache.stats().entries, 2);
   EXPECT_EQ(cache.stats().evictions, 1);
-  EXPECT_NE(cache.Lookup("t", "p1", 0), nullptr);  // kept (recently used)
-  EXPECT_NE(cache.Lookup("t", "p3", 0), nullptr);  // kept (newest)
-  EXPECT_EQ(cache.Lookup("t", "p2", 0), nullptr);  // evicted
+  EXPECT_NE(cache.LookupShared("t", "p1", 0), nullptr);  // kept (recently used)
+  EXPECT_NE(cache.LookupShared("t", "p3", 0), nullptr);  // kept (newest)
+  EXPECT_EQ(cache.LookupShared("t", "p2", 0), nullptr);  // evicted
 }
 
 TEST(RunCacheTest, CacheBudgetNeverChangesFindings) {
@@ -482,7 +557,7 @@ TEST(RunCacheTest, SaveLoadRejectsCorruptFile) {
   // A failed load leaves the cache empty, never half-loaded — and counts a
   // load failure (the campaign surfaces it as cache_load_failures).
   EXPECT_EQ(cache.stats().entries, 0);
-  EXPECT_EQ(cache.Lookup("t", "p", 0), nullptr);
+  EXPECT_EQ(cache.LookupShared("t", "p", 0), nullptr);
   EXPECT_EQ(cache.stats().load_failures, 1);
   std::remove(path.c_str());
 }
@@ -499,13 +574,7 @@ TEST(RunCacheTest, LoadRejectsTruncatedRealFile) {
                MakeResult(false, "boom"));
   ASSERT_TRUE(cache.SaveToFile(path));
 
-  std::string full;
-  {
-    std::ifstream in(path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    full = buffer.str();
-  }
+  std::string full = ReadFile(path);
   ASSERT_GT(full.size(), 40u);
   {
     std::ofstream out(path, std::ios::trunc);
@@ -528,13 +597,7 @@ TEST(RunCacheTest, LoadRejectsBitFlippedFileByChecksum) {
                MakeResult(true, "xyzzy-payload"));
   ASSERT_TRUE(cache.SaveToFile(path));
 
-  std::string full;
-  {
-    std::ifstream in(path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    full = buffer.str();
-  }
+  std::string full = ReadFile(path);
   size_t position = full.find("plan-a");
   ASSERT_NE(position, std::string::npos);
   full[position] = 'q';

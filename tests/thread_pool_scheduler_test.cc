@@ -184,6 +184,39 @@ TEST(ThreadPoolSchedulerTest, OneWorkerSpendsTheSequentialCacheLookups) {
             1555);
 }
 
+TEST(ThreadPoolSchedulerTest, SequentialEquivCountersArePinnedInBothRegimes) {
+  // The sequential cache + equivalence campaign's four cache counters, with
+  // and without pre-run read pruning, and its findings against the uncached
+  // campaign of the same regime. The trace index (its full-trace key and
+  // restriction matching) serves every equivalence hit: a run it stores is
+  // indexed under its observed trace, which a later plan's prediction
+  // reproduces exactly when the stored run is the one that plan would make.
+  struct Regime {
+    bool prune;
+    int64_t hits;
+    int64_t misses;
+    int64_t equiv_hits;
+    int64_t mispredictions;
+  };
+  for (const Regime& regime : {Regime{true, 2, 1512, 41, 283},
+                               Regime{false, 29, 2245, 805, 476}}) {
+    CampaignOptions options;  // all apps
+    options.prune_unread_instances = regime.prune;
+    const CampaignReport expected =
+        Campaign(FullSchema(), FullCorpus(), options).Run();
+    options.enable_run_cache = true;
+    options.enable_equiv_cache = true;
+    const CampaignReport report =
+        Campaign(FullSchema(), FullCorpus(), options).Run();
+    const std::string label = regime.prune ? "pruned" : "unpruned";
+    ExpectIdenticalResults(report, expected, label);
+    EXPECT_EQ(report.cache_hits, regime.hits) << label;
+    EXPECT_EQ(report.cache_misses, regime.misses) << label;
+    EXPECT_EQ(report.equiv_hits, regime.equiv_hits) << label;
+    EXPECT_EQ(report.mispredictions, regime.mispredictions) << label;
+  }
+}
+
 TEST(ThreadPoolSchedulerTest, BenchmarkConfigurationBitwiseIdenticalAcrossOrders) {
   // The benchmark's pool configuration (3 workers, shared cache and
   // equivalence layer, journal synced every record) under app orders its
@@ -370,10 +403,10 @@ TEST(CampaignBackendTest, EveryBackendProducesIdenticalResults) {
 TEST(ConcurrentRunCacheTest, HammerWithLruEvictionStaysConsistent) {
   // N threads share one bounded cache, each inserting its own keyspace and
   // looking up everyone's, with LRU eviction constantly rotating entries out.
-  // The copy-out Lookup must never tear a result (a hit is always a value
-  // some thread inserted for exactly that key) and the final stats must
-  // balance. Run under TSan in CI, this is the data-race gate for the
-  // shared-cache design.
+  // LookupShared, the path the pool's workers run, must never tear a result
+  // (a hit is always a value some thread inserted for exactly that key) and
+  // the final stats must balance. Run under TSan in CI, this is the
+  // data-race gate for the shared-cache design.
   RunCache cache(RunCache::Limits{/*max_entries=*/64, /*max_bytes=*/0});
   constexpr int kThreads = 4;
   constexpr int kKeysPerThread = 40;
@@ -391,9 +424,9 @@ TEST(ConcurrentRunCacheTest, HammerWithLruEvictionStaysConsistent) {
         std::string expected_failure =
             "failure-" + std::to_string(owner) + "-" + std::to_string(key);
 
-        TestResult out;
-        if (cache.Lookup(test_id, plan, /*trial=*/0, nullptr, &out)) {
-          if (out.failure != expected_failure || out.passed) {
+        if (std::shared_ptr<const TestResult> out =
+                cache.LookupShared(test_id, plan, /*trial=*/0)) {
+          if (out->failure != expected_failure || out->passed) {
             ++torn_results;
           }
         } else {
@@ -430,9 +463,9 @@ TEST(ConcurrentRunCacheTest, HammerWithLruEvictionStaysConsistent) {
   TestResult final_result;
   final_result.passed = true;
   cache.Insert("hammer.final", "p", 0, /*trial_insensitive=*/true, final_result);
-  TestResult out;
-  ASSERT_TRUE(cache.Lookup("hammer.final", "p", 7, nullptr, &out));
-  EXPECT_TRUE(out.passed);
+  std::shared_ptr<const TestResult> out = cache.LookupShared("hammer.final", "p", 7);
+  ASSERT_NE(out, nullptr);
+  EXPECT_TRUE(out->passed);
   EXPECT_GT(cache.stats().hits, stats.hits);
 }
 
@@ -465,7 +498,7 @@ TEST(ConcurrentRunCacheTest, EquivLookupSharedUnderEvictionServesOnlyOwnResults)
   // The production path (RunUnitTestShared's LookupShared + Insert with a
   // RunQuery) from 4 threads over one ReadSurface: overlapping pooled
   // plans, entry orders shuffled and an unread parameter mixed in so the
-  // canonical, trace and restriction layers all serve, early-stopped runs so
+  // trace and restriction layers both serve, early-stopped runs so
   // restriction matching has prefixes to collapse, and a byte budget small
   // enough that candidates can be evicted between the snapshot and the match.
   // Every serve must be the result this plan would produce; the stats must
@@ -574,8 +607,7 @@ TEST(ConcurrentRunCacheTest, SharedStatsSnapshotIsConsistent) {
     TestResult result;
     result.passed = true;
     cache.Insert("t", "p" + std::to_string(i), 0, true, result);
-    TestResult out;
-    cache.Lookup("t", "p" + std::to_string(i / 2), 0, nullptr, &out);
+    cache.LookupShared("t", "p" + std::to_string(i / 2), 0);
   }
   stop.store(true, std::memory_order_release);
   reader.join();
